@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lfsr import annihilates, mr_step, run
+from .lfsr import annihilates, mr_step, read_step_log, run
 from .poly import PairedPoly, Poly, inner, pair_add_scaled, pseudo_divide
 from .ring import DomainError
 from .sequence import SequenceView
@@ -24,11 +24,15 @@ CharResult = namedtuple("CharResult", ["q", "r", "scale", "verdict"])
 
 def lc_bullet(s: SequenceView, epsilon=None) -> int:
     """Least degree of an annihilator with nonzero constant term."""
-    st = _run_nonzero(s, epsilon)
+    return _lc_bullet_of(_run_nonzero(s, epsilon))
+
+
+def _lc_bullet_of(st) -> int:
+    # LC when e <= 0 or mu_0 != 0, otherwise n + 1 - LC
     lc = st.mu.f.degree()
-    if st.e <= 0 or not s.dom.is_zero(st.mu.f.constant_term()):
+    if st.e <= 0 or not st.dom.is_zero(st.mu.f.constant_term()):
         return lc
-    return len(s) + 1 - lc
+    return st.j + 1 - lc
 
 
 def min_nonvanishing(s: SequenceView, epsilon=None) -> PairedPoly:
@@ -47,7 +51,7 @@ def min_nonvanishing(s: SequenceView, epsilon=None) -> PairedPoly:
         out = pair_add_scaled(dom.one, st.e, st.mu, dom.one, 0, st.mu_prime)
     if dom.is_zero(out.f.constant_term()):
         raise AssertionError("constant term still vanishes")
-    if out.f.degree() != lc_bullet(s, epsilon):
+    if out.f.degree() != _lc_bullet_of(st):
         raise AssertionError("degree does not meet the minimum")
     return out
 
@@ -123,8 +127,6 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
         s_next = dom.zero if not dom.is_zero(c) else dom.one
     prev_mu = st.mu
     mr_step(st, s_next)
-    if not st.steps[-1].jumped:
-        raise AssertionError("appended term did not force a jump")
     out = st.mu
     if f_prime is not None and not f_prime.is_zero():
         out = PairedPoly(
@@ -132,6 +134,9 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
         )
     if dom.is_zero(out.f.constant_term()):
         raise AssertionError("constant term vanishes")
+    # only a jump lifts the degree from LC to LC + e = n + 1 - LC
+    if out.f.degree() != n + 1 - prev_mu.f.degree():
+        raise AssertionError("appended term did not force a jump to the minimum")
     if not inner(prev_mu.tilde(), out).eq_constant(st.nabla):
         raise AssertionError("pairing identity failed")
     return ExtendResult(s_next=s_next, mu_ext=out, nabla=st.nabla)
@@ -159,23 +164,18 @@ def char_decompose(f: Poly, s: SequenceView, epsilon=None) -> CharResult:
         raise DomainError("f must have a nonzero constant term")
     if not annihilates(f, s):
         raise DomainError("f does not annihilate the sequence")
-    lc = st.mu.f.degree()
     q, r, scale = pseudo_divide(f, st.mu.f)
-    n_prime = st.last_jump_index
+    log = read_step_log(st)
+    n_prime = log.last_jump
     verdict = (
-        f.degree() == n + 1 - lc
+        f.degree() == n + 1 - st.lc
         and n_prime >= 1
         and not r.is_zero()
         and not dom.is_zero(r.constant_term())
-        and _is_minimal_annihilator(r, s.prefix(n_prime))
+        and r.degree() == log.profile[n_prime - 1]
+        and annihilates(r, s.prefix(n_prime))
     )
     return CharResult(q=q, r=r, scale=scale, verdict=verdict)
-
-
-def _is_minimal_annihilator(r: Poly, s: SequenceView) -> bool:
-    if not annihilates(r, s):
-        return False
-    return r.degree() == run(s).mu.f.degree()
 
 
 def _run_nonzero(s: SequenceView, epsilon):

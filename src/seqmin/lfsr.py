@@ -32,6 +32,8 @@ from .sequence import SequenceView
 
 StepRecord = namedtuple("StepRecord", ["delta", "e_before", "jumped"])
 
+StepLog = namedtuple("StepLog", ["exponents", "profile", "last_jump"])
+
 MRSnapshot = namedtuple(
     "MRSnapshot",
     ["j", "e", "mu", "mu_prime", "delta_prime", "nabla", "bez", "delta", "jumped"],
@@ -104,10 +106,7 @@ class MRState:
     @property
     def last_jump_index(self) -> int:
         """The index function value j' at the current j (or -1)."""
-        for j in range(len(self.steps), 0, -1):
-            if self.steps[j - 1].jumped:
-                return j - 1
-        return -1
+        return read_step_log(self).last_jump
 
     def snapshot(self) -> MRSnapshot:
         last = self.steps[-1] if self.steps else None
@@ -122,9 +121,6 @@ class MRState:
             last.delta if last else self.dom.one,
             last.jumped if last else False,
         )
-
-    def sequence(self) -> SequenceView:
-        return SequenceView(self.dom, self.terms)
 
 
 def mr_init(dom: Domain, epsilon=None) -> MRState:
@@ -244,14 +240,25 @@ def minimal_realisation(s: SequenceView, epsilon=None) -> MRResult:
     )
 
 
+def read_step_log(st: MRState) -> StepLog:
+    """Exponents e_j, profile LC_j = (j + 1 - e_j) / 2 (Massey 1969) and j'.
+
+    Read from the step log of the pass just run; j' (last_jump) is the step
+    before the last degree jump, or -1 when mu never jumped.
+    """
+    exponents, profile, last_jump = [], [], -1
+    for j, rec in enumerate(st.steps, start=1):
+        e = (-rec.e_before if rec.jumped else rec.e_before) + 1
+        exponents.append(e)
+        profile.append((j + 1 - e) // 2)
+        if rec.jumped:
+            last_jump = j - 1
+    return StepLog(exponents, profile, last_jump)
+
+
 def lc_profile(s: SequenceView, epsilon=None):
     """LC_1..LC_n (degrees of prefix minimal polynomials), non-decreasing."""
-    st = mr_init(s.dom, epsilon)
-    out = []
-    for t in s:
-        mr_step(st, t)
-        out.append(st.mu.f.degree())
-    return out
+    return read_step_log(run(s, epsilon)).profile
 
 
 def next_identity(st_before: MRState, delta):

@@ -1,6 +1,7 @@
-"""Independent reference implementations used only by the test suite.
+"""Independent reference implementations for cross-checks.
 
-Nothing here is imported by the production modules.  The brute-force
+The library modules never import this one; the test suite and the CLI's
+``--oracle`` flags do, to check the engine's answers.  The brute-force
 annihilator search enumerates polynomials by ascending degree and checks
 the defining windows directly; the extended Euclidean routine is the
 classical division-based algorithm over a field.

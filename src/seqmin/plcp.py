@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lfsr import discrepancy, mr_init, mr_step, run
+from .lfsr import discrepancy, mr_init, mr_step, read_step_log, run
 from .poly import PairedPoly, Poly, mul, pair_add_scaled
 from .ring import DomainError, GF2, GFp
 from .sequence import SequenceView
@@ -30,33 +30,16 @@ def is_plcp(s: SequenceView) -> PlcpReport:
         raise ValueError("empty sequence")
     dom = s.dom
     st = run(s)
-    profile = tuple(snap for snap in _profile_of(st))
+    log = read_step_log(st)
     odd = tuple(st.steps[j - 1].delta for j in range(1, len(s) + 1, 2))
-    etrace = tuple(_exponents_of(st))
-    by_profile = all(lc == (j + 1) // 2 for j, lc in enumerate(profile, start=1))
+    by_profile = all(lc == (j + 1) // 2 for j, lc in enumerate(log.profile, start=1))
     by_delta = all(not dom.is_zero(d) for d in odd)
     by_exponent = all(
-        e == (1 if j % 2 == 0 else 0) for j, e in enumerate(etrace, start=1)
+        e == (1 if j % 2 == 0 else 0) for j, e in enumerate(log.exponents, start=1)
     )
     if not (by_profile == by_delta == by_exponent):
         raise AssertionError("perfect-profile criteria disagree")
-    return PlcpReport(by_profile, profile, odd, etrace)
-
-
-def _profile_of(st):
-    # replay degrees from the step log: LC_j = (j + 1 - e_j) / 2
-    for j, rec in enumerate(st.steps, start=1):
-        e_after = _e_after(rec)
-        yield (j + 1 - e_after) // 2
-
-
-def _e_after(rec):
-    return (-rec.e_before if rec.jumped else rec.e_before) + 1
-
-
-def _exponents_of(st):
-    for rec in st.steps:
-        yield _e_after(rec)
+    return PlcpReport(by_profile, tuple(log.profile), odd, tuple(log.exponents))
 
 
 def count_plcp(q: int, n: int) -> int:

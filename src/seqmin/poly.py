@@ -40,16 +40,8 @@ class Poly:
         return cls(dom, (dom.one,), _canonical=True)
 
     @classmethod
-    def x(cls, dom):
-        return cls(dom, (dom.zero, dom.one), _canonical=True)
-
-    @classmethod
     def constant(cls, dom, c):
         return cls(dom, (c,))
-
-    @classmethod
-    def monomial(cls, dom, c, k: int):
-        return cls(dom, (dom.zero,) * k + (c,))
 
     # -- basics -------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lfsr import annihilates, run
+from .lfsr import annihilates, read_step_log, run
 from .poly import Poly
 from .ring import DomainError
 from .sequence import SequenceView
@@ -66,10 +66,7 @@ def iy_classify(s: SequenceView, epsilon=None) -> IYResult:
 
 def max_iy_prefix(s: SequenceView, epsilon=None):
     """Longest prefix length j with j = 2 * LC(s^(j)), or None."""
-    st = run(s, epsilon)
-    best = None
-    for j, rec in enumerate(st.steps, start=1):
-        e_after = (-rec.e_before if rec.jumped else rec.e_before) + 1
-        if e_after == 1 and j >= 2:  # j + 1 - 2*LC_j = 1 means j = 2*LC_j
-            best = j
-    return best
+    exponents = read_step_log(run(s, epsilon)).exponents
+    # e_j = j + 1 - 2*LC_j, so e_j = 1 means j = 2*LC_j
+    return max((j for j, e in enumerate(exponents, start=1) if e == 1 and j >= 2),
+               default=None)

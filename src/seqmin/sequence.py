@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ring import Domain, check_same_domain
+from .ring import Domain
 
 
 class SequenceView:
@@ -70,9 +70,6 @@ class SequenceView:
 
     def append(self, value) -> "SequenceView":
         return SequenceView(self.dom, self.terms + (self.dom.coerce(value),))
-
-    def concat_check(self, other: "SequenceView") -> None:
-        check_same_domain(self.dom, other.dom)
 
 
 def parse_sequence(dom: Domain, text: str) -> SequenceView:

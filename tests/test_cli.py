@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -165,3 +166,70 @@ def test_epsilon_flag(capsys):
     )
     assert code == 0
     assert "x - 3" in out
+
+
+def test_bezout_rejects_a_g_that_is_not_a_common_divisor(capsys, monkeypatch):
+    import seqmin.bezout as bz
+
+    real = bz.bezout_pair
+
+    def off_by_x_plus_1(u, u2, count_mults=False):
+        # f and g both times (x + 1): still f.u + f2.u2 = g, but g no longer
+        # divides u = x^3 + 1
+        res = real(u, u2, count_mults)
+        x1 = Poly(u.dom, [1, 1])
+        f = PairedPoly(res.f.f * x1, res.f.f2 * x1)
+        return res._replace(f=f, g=res.g * x1)
+
+    monkeypatch.setattr(bz, "bezout_pair", off_by_x_plus_1)
+    code, out, _ = run_cli(
+        capsys, "bezout", "--u", "1,0,0,1", "--u2", "1,0,1", "--json"
+    )
+    assert code == 1
+    assert json.loads(out)["verified"] is False
+
+
+@pytest.mark.parametrize("ring, u, u2", [
+    ("int", "2,3,1", "1,1"),
+    ("gfp_poly:3", "(0,1),(1,1),(1)", "(0,1),(1)"),
+    ("gfp:7", "1,1", "2"),
+])
+def test_bezout_divisibility_check_over_every_domain(capsys, ring, u, u2):
+    code, out, _ = run_cli(
+        capsys, "bezout", "--ring", ring, "--u", u, "--u2", u2, "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
+def test_integer_output_past_the_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    before = limit() if limit else None
+    code, out, _ = run_cli(
+        capsys, "mr", "--ring", "int", "--json",
+        "--seq", "3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6",
+    )
+    assert code == 0
+    assert '"verified": true' in out
+    if limit:
+        assert limit() == before
+
+
+@pytest.mark.parametrize("option, value, rest", [
+    ("--seq", "-1,2,3", ["mr", "--ring", "int"]),
+    ("--u", "-2,0,1", ["bezout", "--ring", "int", "--u2=-3,1"]),
+    ("--u2", "-3,1", ["bezout", "--ring", "int", "--u=-2,0,1"]),
+])
+def test_leading_negative_term(capsys, option, value, rest):
+    joined = run_cli(capsys, *rest, "%s=%s" % (option, value))
+    spaced = run_cli(capsys, *rest, option, value)
+    assert joined[0] == 0
+    assert spaced == joined
+
+
+@pytest.mark.parametrize("sizes", ["0", "", "8,-1", "16,x"])
+def test_bench_rejects_bad_sizes(capsys, sizes):
+    code, _, err = run_cli(capsys, "bench", "--sizes", sizes)
+    bad = [t for t in sizes.split(",") if not t.isdigit() or t == "0"][0]
+    assert code == 2
+    assert repr(bad) in err
