@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .lfsr import annihilates, mr_step, read_step_log, run
-from .poly import PairedPoly, Poly, inner, pair_add_scaled, pseudo_divide
+from .poly import PairedPoly, Poly, dot, inner, pair_add_scaled, pseudo_divide
 from .ring import DomainError
 from .sequence import SequenceView
 
@@ -115,12 +115,7 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
     mu = st.mu.f
     lead = mu.lead()
     # discrepancy of the extended prefix: c + lead(mu) * s_{n+1}
-    base = (n + 1 + e) // 2
-    c = dom.zero
-    for k in range(0, (n + 1 - e) // 2):
-        coeff = mu.coeff(k)
-        if not dom.is_zero(coeff):
-            c = dom.add(c, dom.mul(coeff, s.term(base + k)))
+    c = dot(dom, mu.coeffs[:-1], s.terms[n - mu.degree():])
     if dom.is_field:
         s_next = dom.mul(dom.inv(lead), dom.sub(dom.one, c))
     else:

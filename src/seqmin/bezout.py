@@ -50,7 +50,8 @@ def bezout_pair(u: Poly, u2: Poly, count_mults: bool = False) -> BezoutResult:
     """Coefficients f with f.f*u + f.f2*u2 = nabla*gcd(u, u2), exactly.
 
     u must be monic with deg(u2) <= deg(u) = d >= 1.  u2 = 0 returns the
-    trivial ((1, 0), 1, u) by convention.
+    trivial ((1, 0), 1, u) by convention.  With count_mults, mults is the
+    engine pass's exact number of domain multiplications (else 0).
     """
     check_same_domain(u.dom, u2.dom)
     dom = u.dom

@@ -13,10 +13,15 @@ One pass over s_1..s_n maintains, division-free:
 and a per-step log of (discrepancy, exponent before the step, jumped).
 The pair tilde(mu') = (-mu2', mu') satisfies tilde(mu') . (mu, mu2) = nabla,
 so Bezout-style coefficients for the realisation come out of the same pass.
+
+Each step costs one discrepancy, the `dot` of mu with the last LC + 1
+terms, and the `add_scaled` updates of mu, mu2 and bez: `dot` and
+`add_scaled` (in `seqmin.poly`) are the library's two coefficient kernels.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -24,6 +29,7 @@ from .poly import (
     PairedPoly,
     Poly,
     add_scaled,
+    dot,
     inner,
     pair_add_scaled,
 )
@@ -49,16 +55,9 @@ def discrepancy(f: Poly, s: SequenceView):
     if f.is_zero():
         raise DomainError("discrepancy of the zero polynomial is undefined")
     check_same_domain(f.dom, s.dom)
-    dom = f.dom
-    n = len(s)
-    d = f.degree()
-    acc = dom.zero
-    for k, c in enumerate(f.coeffs):
-        if not dom.is_zero(c):
-            t = s.get(n - d + k)
-            if not dom.is_zero(t):
-                acc = dom.add(acc, dom.mul(c, t))
-    return acc
+    # f_k meets s_{n-d+k} at 0-based index lo + k; indices below 0 read as 0
+    lo = len(s) - f.degree() - 1
+    return dot(f.dom, f.coeffs[max(-lo, 0):], s.terms[max(lo, 0):])
 
 
 def annihilates(f: Poly, s: SequenceView) -> bool:
@@ -71,14 +70,8 @@ def annihilates(f: Poly, s: SequenceView) -> bool:
     check_same_domain(f.dom, s.dom)
     dom = f.dom
     d = f.degree()
-    cs = f.coeffs
-    for j in range(d + 1, len(s) + 1):
-        acc = dom.zero
-        for k in range(d + 1):
-            acc = dom.add(acc, dom.mul(cs[k], s.term(j - d + k)))
-        if not dom.is_zero(acc):
-            return False
-    return True
+    return all(dom.is_zero(dot(dom, f.coeffs, s.terms[j - d - 1:j]))
+               for j in range(d + 1, len(s) + 1))
 
 
 @dataclass
@@ -96,7 +89,6 @@ class MRState:
     bez: PairedPoly = None
     steps: list = field(default_factory=list)
     terms: list = field(default_factory=list)
-    count_mults: bool = False
     mults: int = 0
 
     @property
@@ -149,21 +141,9 @@ def mr_step(st: MRState, s_next) -> MRState:
     e = st.e
     e_before = e
 
-    # Delta = sum_{k=0}^{(j-e)/2} mu_k s_{k+(j+e)/2}
-    base = (j + e) // 2
-    mu_coeffs = st.mu.f.coeffs
-    terms = st.terms
-    acc = dom.zero
-    for k in range(0, (j - e) // 2 + 1):
-        if k < len(mu_coeffs):
-            c = mu_coeffs[k]
-            if not dom.is_zero(c):
-                t = terms[base + k - 1]
-                if not dom.is_zero(t):
-                    acc = dom.add(acc, dom.mul(c, t))
-                    if st.count_mults:
-                        st.mults += 1
-    delta = acc
+    # Delta = sum_{k=0}^{LC} mu_k s_{k+(j+e)/2} with LC = (j-e)/2:
+    # mu against the last LC + 1 terms
+    delta = dot(dom, st.mu.f.coeffs, st.terms[(j + e) // 2 - 1:])
 
     jumped = False
     if not dom.is_zero(delta):
@@ -186,9 +166,6 @@ def mr_step(st: MRState, s_next) -> MRState:
             st.nabla = dom.mul(delta, st.nabla)
             st.delta_prime = delta
             e = -e
-        if st.count_mults:
-            # two scalar-times-polynomial products per pair component update
-            st.mults += 2 * (len(st.mu.f.coeffs) + len(st.mu.f2.coeffs))
     st.e = e + 1
     st.j = j
     st.steps.append(StepRecord(delta, e_before, jumped))
@@ -196,12 +173,34 @@ def mr_step(st: MRState, s_next) -> MRState:
 
 
 def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
-    """Fold the engine over a whole sequence."""
-    st = mr_init(s.dom, epsilon)
-    st.count_mults = count_mults
+    """Fold the engine over a whole sequence.
+
+    With count_mults the pass runs over a copy of the domain whose mul
+    counts its calls, and st.mults is that count: every product of the pass.
+    """
+    dom = s.dom
+    if count_mults:
+        dom = copy.copy(dom)
+        dom.mul = _CountedMul(dom.mul)
+    st = mr_init(dom, epsilon)
     for t in s:
         mr_step(st, t)
+    if count_mults:
+        st.mults = dom.mul.calls
+        del dom.mul  # the state's polynomials keep the copy, which no longer counts
     return st
+
+
+class _CountedMul:
+    """A domain's mul that counts its calls."""
+
+    def __init__(self, mul):
+        self.mul = mul
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self.mul(a, b)
 
 
 def mr_scan(s: SequenceView, epsilon=None):
@@ -339,15 +338,3 @@ def mr_gf2_bits(seq_bits: int, n: int):
                 e = -e
         e += 1
     return mu, mu2, mup, mup2, e
-
-
-def poly_from_bits(dom: Domain, bits: int) -> Poly:
-    return Poly(dom, [(bits >> k) & 1 for k in range(bits.bit_length())])
-
-
-def bits_from_sequence(s: SequenceView) -> int:
-    bits = 0
-    for i, t in enumerate(s):
-        if t:
-            bits |= 1 << i
-    return bits

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .poly import Poly, divmod_field
-from .ring import Domain, DomainError, GFp
-from .sequence import SequenceView
+from .poly import Poly, divmod_field, poly_from_bits
+from .ring import DomainError, GFp
+from .sequence import SequenceView, bits_from_sequence
 
 # search limits keeping the q^(d+1) enumeration affordable
 _MAX_N = {2: 12, 3: 8}
@@ -72,10 +72,7 @@ def _brute_gfp(dom, s, star):
 def _brute_gf2(dom, s, star):
     """Bit-packed GF(2) path: candidate and sequence windows as ints."""
     n = len(s)
-    sbits = 0
-    for i, t in enumerate(s):
-        if t:
-            sbits |= 1 << i
+    sbits = bits_from_sequence(s)
     for d in range(0, n + 1):
         found = set()
         for tail in range(1 << d):
@@ -89,14 +86,10 @@ def _brute_gf2(dom, s, star):
                     ok = False
                     break
             if ok:
-                found.add(_poly_bits(dom, cand))
+                found.add(poly_from_bits(dom, cand))
         if found:
             return d, found, any(f.coeff(0) != 0 for f in found)
     raise AssertionError("unreachable")
-
-
-def _poly_bits(dom, bits):
-    return Poly(dom, [(bits >> k) & 1 for k in range(bits.bit_length())])
 
 
 def ext_euclid(u: Poly, u2: Poly):

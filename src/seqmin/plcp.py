@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lfsr import discrepancy, mr_init, mr_step, read_step_log, run
-from .poly import PairedPoly, Poly, mul, pair_add_scaled
+from .poly import PairedPoly, Poly, dot, mul, pair_add_scaled
 from .ring import DomainError, GF2, GFp
 from .sequence import SequenceView
 
@@ -143,16 +143,9 @@ def random_plcp_sequence(dom: GFp, n: int, rng) -> SequenceView:
     st = mr_init(dom)
     terms = []
     for j in range(1, n + 1):
-        e = st.e
         # Delta_j = partial + lead(mu) * s_j; solve for s_j
-        base = (j + e) // 2
-        top = (j - e) // 2
         mu = st.mu.f
-        partial = dom.zero
-        for k in range(0, top):
-            c = mu.coeff(k)
-            if not dom.is_zero(c) and base + k <= len(terms):
-                partial = dom.add(partial, dom.mul(c, terms[base + k - 1]))
+        partial = dot(dom, mu.coeffs[:-1], terms[len(terms) - mu.degree():])
         if j % 2 == 1:
             target = rng.randrange(1, dom.p)
         else:

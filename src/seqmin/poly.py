@@ -1,8 +1,11 @@
 """Dense univariate polynomials over a domain, ascending coefficients.
 
-Also provides the Laurent-side helpers the sequence machinery needs:
-reciprocal, x-adic valuation, the polynomial part of f * (s_1 x^-1 + ...),
-the prefix of the series u2/u, and pseudo-division.
+The library's two coefficient kernels live here: `dot` (a sum of
+coefficient-times-term products, such as a discrepancy) and `add_scaled`
+(a * x^e * f + b * x^e2 * g, the engine's update).  Also provides the
+Laurent-side helpers the sequence machinery needs: reciprocal, x-adic
+valuation, the polynomial part of f * (s_1 x^-1 + ...), the prefix of the
+series u2/u, and pseudo-division.
 """
 
 from __future__ import annotations
@@ -113,13 +116,6 @@ class Poly:
         """Divide by the leading coefficient (fields only)."""
         return self.scale(self.dom.inv(self.lead()))
 
-    def divide_exact(self, other: "Poly") -> "Poly":
-        """Exact quotient over a field; raises if the division has a remainder."""
-        q, r = divmod_field(self, other)
-        if not r.is_zero():
-            raise DomainError("division is not exact")
-        return q
-
     def eq_constant(self, c) -> bool:
         c = self.dom.coerce(c)
         if self.dom.is_zero(c):
@@ -134,6 +130,15 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s, %s)" % (self.dom.descriptor(), format_poly(self))
+
+
+def dot(dom: Domain, cs, ts):
+    """sum c_k * t_k over zip(cs, ts), skipping zero factors."""
+    acc = dom.zero
+    for c, t in zip(cs, ts):
+        if not dom.is_zero(c) and not dom.is_zero(t):
+            acc = dom.add(acc, dom.mul(c, t))
+    return acc
 
 
 def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
@@ -269,11 +274,6 @@ def inner(p: PairedPoly, q: PairedPoly) -> Poly:
     return mul(p.f, q.f) + mul(p.f2, q.f2)
 
 
-def scale_pair_poly(g: Poly, p: PairedPoly) -> PairedPoly:
-    """Polynomial multiple g * p, componentwise."""
-    return PairedPoly(mul(g, p.f), mul(g, p.f2))
-
-
 # -- sequence-facing helpers -----------------------------------------
 
 
@@ -290,14 +290,7 @@ def poly_part(f: Poly, s: SequenceView) -> Poly:
     if f.is_zero() or first is None:
         return Poly.zero(dom)
     top = f.degree() - first
-    out = []
-    for j in range(0, top + 1):
-        acc = dom.zero
-        for i in range(1, len(s) + 1):
-            if j + i <= f.degree():
-                acc = dom.add(acc, dom.mul(f.coeff(j + i), s.term(i)))
-        out.append(acc)
-    return Poly(dom, out)
+    return Poly(dom, [dot(dom, f.coeffs[j + 1:], s.terms) for j in range(top + 1)])
 
 
 def series_prefix(u2: Poly, u: Poly, m: int) -> SequenceView:
@@ -316,15 +309,17 @@ def series_prefix(u2: Poly, u: Poly, m: int) -> SequenceView:
         raise DomainError("denominator must have degree >= 1")
     if not u2.is_zero() and u2.degree() >= d:
         raise DomainError("numerator degree must be below the denominator's")
+    # u_{d-1}, ..., u_0 against s_{j-1}, ..., s_1: the terms 1 <= i <= min(d, j-1)
+    low = u.coeffs[-2::-1]
     terms = []
     for j in range(1, m + 1):
-        acc = u2.coeff(d - j) if d - j >= 0 else dom.zero
-        for i in range(1, j):
-            c = u.coeff(d - i) if d - i >= 0 else dom.zero
-            if not dom.is_zero(c):
-                acc = dom.sub(acc, dom.mul(c, terms[j - i - 1]))
-        terms.append(acc)
+        terms.append(dom.sub(u2.coeff(d - j), dot(dom, low, reversed(terms))))
     return SequenceView(dom, terms)
+
+
+def poly_from_bits(dom: Domain, bits: int) -> Poly:
+    """The GF(2) polynomial whose coefficient k is bit k of bits."""
+    return Poly(dom, [(bits >> k) & 1 for k in range(bits.bit_length())])
 
 
 # -- text formats -----------------------------------------------------

@@ -57,7 +57,7 @@ def iy_classify(s: SequenceView, epsilon=None) -> IYResult:
     if len(s) != 2 * lc:
         raise DomainError(
             "need n = 2*LC exactly (n=%d, LC=%d); try a prefix of length %s"
-            % (len(s), lc, max_iy_prefix(s, epsilon))
+            % (len(s), lc, _longest_iy_prefix(st))
         )
     rev = reverse_lc(s, epsilon)
     expected = lc if not s.dom.is_zero(st.mu.f.constant_term()) else lc + 1
@@ -66,7 +66,11 @@ def iy_classify(s: SequenceView, epsilon=None) -> IYResult:
 
 def max_iy_prefix(s: SequenceView, epsilon=None):
     """Longest prefix length j with j = 2 * LC(s^(j)), or None."""
-    exponents = read_step_log(run(s, epsilon)).exponents
+    return _longest_iy_prefix(run(s, epsilon))
+
+
+def _longest_iy_prefix(st):
+    exponents = read_step_log(st).exponents
     # e_j = j + 1 - 2*LC_j, so e_j = 1 means j = 2*LC_j
     return max((j for j, e in enumerate(exponents, start=1) if e == 1 and j >= 2),
                default=None)

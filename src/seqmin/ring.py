@@ -136,6 +136,7 @@ class GFp(Domain):
         return x % self.p
 
     def parse(self, text):
+        """An integer, reduced mod p (the map Z -> GF(p)): -1 reads as p - 1."""
         return int(text) % self.p
 
     def format(self, a):
@@ -257,6 +258,10 @@ class GFpPolyRing(Domain):
         raise DomainError("cannot coerce %r into GF(%d)[y]" % (x, self.p))
 
     def parse(self, text):
+        """Ascending y-coefficients, optionally in parentheses: '(1,0,2)'.
+
+        Each integer coefficient is reduced mod p, as in GFp.parse.
+        """
         text = text.strip()
         if text.startswith("(") and text.endswith(")"):
             text = text[1:-1]

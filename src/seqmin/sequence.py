@@ -80,6 +80,15 @@ def parse_sequence(dom: Domain, text: str) -> SequenceView:
     return SequenceView(dom, [dom.parse(tok) for tok in _split_terms(text)])
 
 
+def bits_from_sequence(s: SequenceView) -> int:
+    """GF(2) terms packed into an int, s_i at bit i - 1."""
+    bits = 0
+    for i, t in enumerate(s):
+        if t:
+            bits |= 1 << i
+    return bits
+
+
 def format_sequence(s: SequenceView) -> str:
     return ",".join(s.dom.format(t) for t in s.terms)
 

@@ -12,7 +12,6 @@ import pytest
 from seqmin.annihilator import min_nonvanishing, mr_bullet_family
 from seqmin.bezout import bezout_pair
 from seqmin.lfsr import (
-    bits_from_sequence,
     minimal_realisation,
     mr_gf2_bits,
     mr_init,
@@ -215,16 +214,16 @@ def test_criterion_10_quadratic_scaling():
     import math
 
     mr_gf2_bits(rng.getrandbits(4096), 4096)  # warm-up
-    pts = []
-    for k in range(13, 18):
-        n = 1 << k
-        bits = rng.getrandbits(n)
-        best = float("inf")
-        for _ in range(2):
+    inputs = [(1 << k, rng.getrandbits(1 << k)) for k in range(13, 18)]
+    # best of 5 rounds over all sizes: a slow spell of a shared machine
+    # then slows one round of every size, not every run of one size
+    best = [float("inf")] * len(inputs)
+    for _ in range(5):
+        for i, (n, bits) in enumerate(inputs):
             t0 = time.perf_counter()
             mr_gf2_bits(bits, n)
-            best = min(best, time.perf_counter() - t0)
-        pts.append((math.log(n), math.log(best)))
+            best[i] = min(best[i], time.perf_counter() - t0)
+    pts = [(math.log(n), math.log(t)) for (n, _), t in zip(inputs, best)]
     mx = sum(x for x, _ in pts) / len(pts)
     my = sum(y for _, y in pts) / len(pts)
     alpha = sum((x - mx) * (y - my) for x, y in pts) / sum(

@@ -139,6 +139,16 @@ def test_reverse_lc(capsys):
     assert data == {"lc": 2, "rev_lc": 3, "verified": True}
 
 
+@pytest.mark.parametrize("ring, terms, reduced", [
+    ("gf2", "1,2,3", "1,0,1"),
+    ("gfp:7", "8,-1", "1,6"),
+])
+def test_out_of_range_terms_reduce_mod_p(capsys, ring, terms, reduced):
+    for cmd in (["mr", "--json"], ["annihilator"]):
+        assert (run_cli(capsys, *cmd, "--ring", ring, "--seq", terms)
+                == run_cli(capsys, *cmd, "--ring", ring, "--seq", reduced))
+
+
 def test_bench_small(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "--sizes", "256,512,1024", "--count-mults", "--json"

@@ -1,8 +1,9 @@
+import random
+
 import pytest
 
 from seqmin.lfsr import (
     annihilates,
-    bits_from_sequence,
     discrepancy,
     lc_profile,
     minimal_polynomial,
@@ -13,14 +14,14 @@ from seqmin.lfsr import (
     mr_step,
     next_identity,
     normalize_monic,
-    poly_from_bits,
     run,
     verify_identity,
 )
 from seqmin.oracle import ext_euclid
-from seqmin.poly import PairedPoly, Poly, parse_poly, poly_part
-from seqmin.ring import DomainError, GF2, GFp, IntegerRing
-from seqmin.sequence import SequenceView
+from seqmin.poly import PairedPoly, Poly, parse_poly, poly_from_bits, poly_part
+from seqmin.ring import DomainError, GF2, GFp, IntegerRing, domain_from_string
+from seqmin.sequence import SequenceView, bits_from_sequence
+from test_step_log import RINGS
 from util import identity_checker, random_sequence, seeded
 
 F2 = GF2()
@@ -262,3 +263,43 @@ def test_mult_counter_counts_something():
     st = run(S8, count_mults=True)
     assert st.mults > 0
     assert run(SequenceView(F2, [0, 0, 0]), count_mults=True).mults == 0
+
+
+class MulCounter:
+    """Mixin for a Domain subclass whose mul records each call in mul_calls."""
+
+    def mul(self, a, b):
+        self.mul_calls.append((a, b))
+        return super().mul(a, b)
+
+
+def counting_domain(ring):
+    """`ring` as an instance of a Domain subclass whose mul counts its calls.
+
+    mul_calls is a list, so a shallow copy of the domain adds to it too.
+    """
+    dom = domain_from_string(ring)
+    dom.__class__ = type("Counting", (MulCounter, type(dom)), {})
+    dom.mul_calls = []
+    return dom
+
+
+@pytest.mark.parametrize("with_epsilon", [False, True])
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_mult_count_equals_domain_mul_calls(ring, with_epsilon):
+    dom = counting_domain(ring)
+    longest, term = RINGS[ring]
+    rng = random.Random("%s/%s" % (ring, with_epsilon))
+    eps = dom.one if with_epsilon else None
+    for _ in range(20):
+        s = SequenceView(dom, [term(rng) for _ in range(rng.randint(1, longest))])
+        dom.mul_calls.clear()
+        st = run(s, eps, count_mults=True)
+        assert st.mults == len(dom.mul_calls)
+        # a pass without the flag makes the same products
+        dom.mul_calls.clear()
+        run(s, eps)
+        assert len(dom.mul_calls) == st.mults
+    dom.mul_calls.clear()
+    assert run(SequenceView(dom, [0] * 6), eps, count_mults=True).mults == 0
+    assert dom.mul_calls == []

@@ -5,6 +5,7 @@ from seqmin.poly import (
     Poly,
     add_scaled,
     divmod_field,
+    dot,
     format_poly,
     inner,
     mul,
@@ -13,7 +14,6 @@ from seqmin.poly import (
     poly_part,
     pretty_poly,
     pseudo_divide,
-    scale_pair_poly,
     series_prefix,
 )
 from seqmin.ring import GF2, GFp, GFpPolyRing, DomainError, IntegerRing
@@ -75,16 +75,19 @@ def test_monic_and_divide_exact():
     F = GFp(7)
     f = P(F, 2, 4)
     assert f.monic().coeffs == (4, 1)
-    g = P(F, 1, 0, 0, 1)
-    assert g.divide_exact(P(F, 1, 1)).coeffs == (1, 6, 1)
-    with pytest.raises(DomainError):
-        P(F, 1, 1).divide_exact(P(F, 1, 2, 1))
 
 
 def test_add_scaled():
     # 2*x*(1+x) + (-1)*(3+x) = -3 + x + 2x^2
     out = add_scaled(2, 1, P(Z, 1, 1), -1, 0, P(Z, 3, 1))
     assert out.coeffs == (-3, 1, 2)
+
+
+def test_dot_stops_at_the_shorter_factor_list():
+    F = GFp(7)
+    assert dot(F, (3, 0, 5), (2, 4, 1, 6)) == (3 * 2 + 5 * 1) % 7
+    assert dot(F, (3, 5), ()) == 0
+    assert dot(Z, (2, -1), (0, 4)) == -4
 
 
 def test_divmod_field():
@@ -121,8 +124,6 @@ def test_paired_poly_ops():
     assert inner(p, t).is_zero()  # f*(-f2) + f2*f = 0
     q = pair_add_scaled(1, 1, p, 1, 0, p)
     assert q.f == P(GF2_, 1, 0, 1)
-    sp = scale_pair_poly(P(GF2_, 0, 1), p)
-    assert sp.f.coeffs == (0, 1, 1)
 
 
 def test_poly_part_examples():

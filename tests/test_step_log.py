@@ -69,3 +69,10 @@ def test_cli_engine_passes(capsys, engine_passes, argv, passes):
     assert main(argv) == 0
     capsys.readouterr()
     assert len(engine_passes) == passes
+
+
+def test_classify_error_reads_the_prefix_from_its_own_pass(capsys, engine_passes):
+    assert main(["reverse-lc", "--classify", "--seq", "1,1,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: need n = 2*LC exactly (n=3, LC=2); try a prefix of length 2\n")
+    assert len(engine_passes) == 1
