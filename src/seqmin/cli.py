@@ -30,7 +30,7 @@ from .lfsr import (
 from .oracle import brute_min_annihilator, ext_euclid
 from .poly import PairedPoly, Poly, parse_poly, pretty_poly, pseudo_divide
 from .ring import DomainError, domain_from_string
-from .sequence import SequenceView, parse_sequence
+from .sequence import parse_sequence, sequence_from_bits
 
 
 def _add_common(p, seq=True):
@@ -324,7 +324,7 @@ def cmd_bench(args):
         if args.count_mults:
             dom = domain_from_string("gf2")
             small = min(n, 2048)  # generic engine is for counting, keep it modest
-            s = SequenceView(dom, [(bits >> i) & 1 for i in range(small)])
+            s = sequence_from_bits(dom, bits, small)
             st = run(s, count_mults=True)
             row["mults"] = st.mults
             row["mults_n"] = small

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .lfsr import discrepancy, mr_init, mr_step, read_step_log, run
 from .poly import PairedPoly, Poly, dot, mul, pair_add_scaled
 from .ring import DomainError, GF2, GFp
-from .sequence import SequenceView
+from .sequence import SequenceView, sequence_from_bits
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def check_stable_theorem(n: int) -> bool:
 
 
 def _check_sigma(dom, sbits, n):
-    s = SequenceView(dom, [(sbits >> i) & 1 for i in range(n)])
+    s = sequence_from_bits(dom, sbits, n)
     x1 = Poly(dom, (1, 1))
     st = mr_init(dom)
     for t in s:

@@ -159,18 +159,20 @@ def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
 
 
 def mul(f: Poly, g: Poly) -> Poly:
+    """f * g through the domain's own product, `Domain.polymul`.
+
+    GF(2), GF(p) and GF(p)[y] pack each factor into one Python int and
+    multiply once (`ring.mul_mod`, Kronecker substitution), so CPython's
+    big-integer multiply does the work; small products stay schoolbook.
+    The integers keep the schoolbook loop: their coefficients are already
+    big ints that CPython multiplies with Karatsuba, and packing them was
+    measured slower.
+    """
     check_same_domain(f.dom, g.dom)
     dom = f.dom
     if f.is_zero() or g.is_zero():
         return Poly.zero(dom)
-    out = [dom.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, c in enumerate(f.coeffs):
-        if dom.is_zero(c):
-            continue
-        for j, d in enumerate(g.coeffs):
-            if not dom.is_zero(d):
-                out[i + j] = dom.add(out[i + j], dom.mul(c, d))
-    return Poly(dom, out, _canonical=True)
+    return Poly(dom, dom.polymul(f.coeffs, g.coeffs), _canonical=True)
 
 
 def divmod_field(f: Poly, g: Poly):

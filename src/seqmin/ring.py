@@ -5,9 +5,16 @@ Values are plain Python objects (ints for gf2/gfp/int, coefficient tuples
 for gfp_poly); the domain object carries the operations.  Mismatched-domain
 errors are raised wherever two domain-carrying containers meet (polynomials,
 sequences), since bare values do not know their domain.
+
+Each domain also multiplies whole coefficient lists (`Domain.polymul`, what
+`poly.mul` calls).  GF(p) and GF(p)[y] do it with one packed product,
+`mul_mod`; the integers keep the generic schoolbook loop.
 """
 
 from __future__ import annotations
+
+import array
+import sys
 
 
 class DomainError(ValueError):
@@ -31,6 +38,52 @@ def is_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+# mul_mod's crossover: below this many coefficient products (len(fs) *
+# len(gs)) a schoolbook loop on ints beats packing, unpacking and one
+# big-integer multiplication.  Measured on CPython 3.11 over GF(2): 6 x 6
+# breaks even (5.9 us either way), 8 x 8 packs in 6.3 us against 9.8, and
+# 1 x 64 is still faster schoolbook (9.7 against 10.6 us).
+PACK_MIN_PRODUCTS = 64
+
+# array typecode for each slot size in bytes that a C integer type has,
+# in ascending size
+_SLOT_CODES = {array.array(c).itemsize: c for c in "BHILQ"}
+
+
+def mul_mod(fs, gs, p: int) -> list:
+    """The product of two nonempty GF(p) coefficient lists, reduced mod p.
+
+    Coefficients are ints in [0, p-1], ascending; the result has all
+    len(fs) + len(gs) - 1 coefficients, not trimmed.  Kronecker substitution
+    (Harvey, JSC 2009): each list packs into one int, one slot per
+    coefficient, each slot wide enough for an unreduced product coefficient
+    -- at most (p-1)^2 * min(len fs, len gs) -- rounded up to whole bytes, so
+    one big-integer multiplication forms every coefficient at once.  Small
+    products run a schoolbook loop on ints instead, with one % p per output
+    coefficient.
+    """
+    n = len(fs) + len(gs) - 1
+    if len(fs) * len(gs) < PACK_MIN_PRODUCTS:
+        out = [0] * n
+        for i, c in enumerate(fs):
+            if c:
+                for k, d in enumerate(gs, i):
+                    out[k] += c * d
+        return [c % p for c in out]
+    width = (((p - 1) ** 2 * min(len(fs), len(gs))).bit_length() + 7) // 8
+    size = next((s for s in _SLOT_CODES if s >= width), None)
+    if size is not None:
+        # slots that are C integers: pack and unpack them as arrays
+        code, order = _SLOT_CODES[size], sys.byteorder
+        a = int.from_bytes(array.array(code, fs).tobytes(), order)
+        b = int.from_bytes(array.array(code, gs).tobytes(), order)
+        return [c % p for c in array.array(code, (a * b).to_bytes(size * n, order))]
+    a = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in fs), "little")
+    b = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in gs), "little")
+    v = (a * b).to_bytes(width * n, "little")
+    return [int.from_bytes(v[k:k + width], "little") % p for k in range(0, width * n, width)]
 
 
 class Domain:
@@ -57,6 +110,22 @@ class Domain:
 
     def inv(self, a):
         raise DomainError("%s is not a field; no inverses" % self.kind)
+
+    def polymul(self, fs, gs) -> list:
+        """The product of two nonempty coefficient lists (ascending, untrimmed).
+
+        The generic schoolbook loop, one `mul` per pair of nonzero
+        coefficients: the integers use it, and it is the reference the
+        packed products of GFp and GFpPolyRing are tested against.
+        """
+        out = [self.zero] * (len(fs) + len(gs) - 1)
+        for i, c in enumerate(fs):
+            if self.is_zero(c):
+                continue
+            for j, d in enumerate(gs):
+                if not self.is_zero(d):
+                    out[i + j] = self.add(out[i + j], self.mul(c, d))
+        return out
 
     def pow(self, a, k: int):
         if k < 0:
@@ -124,6 +193,10 @@ class GFp(Domain):
         if a % self.p == 0:
             raise DomainError("zero is not invertible")
         return pow(a, self.p - 2, self.p)
+
+    def polymul(self, fs, gs):
+        """One packed product, `mul_mod`; canonical, as lead(f) * lead(g) != 0."""
+        return mul_mod(fs, gs, self.p)
 
     def pow(self, a, k):
         if k < 0:
@@ -239,14 +312,34 @@ class GFpPolyRing(Domain):
         return tuple((-c) % self.p for c in a)
 
     def mul(self, a, b):
+        """One `mul_mod` of the y-coefficient lists (packed above its crossover).
+
+        The engine and `add_scaled` call this on every update.  The product
+        of two canonical values is canonical: lead(a) * lead(b) != 0 mod p.
+        """
         if not a or not b:
             return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] = (out[i + j] + c * d) % self.p
-        return self._trim(out)
+        return tuple(mul_mod(a, b, self.p))
+
+    def polymul(self, fs, gs):
+        """Polynomials in x over GF(p)[y] through one packed product.
+
+        Substituting x = y^D, with D above the product's y-degree, turns
+        each factor into one GF(p) coefficient list (each x-coefficient
+        padded to D y-coefficients); `mul_mod` multiplies the two, and
+        coefficient k of the product is the k-th D-slot chunk, trimmed.
+        """
+        D = max(map(len, fs)) + max(map(len, gs)) - 1
+        out = mul_mod(self._flatten(fs, D), self._flatten(gs, D), self.p)
+        return [self._trim(out[k:k + D]) for k in range(0, (len(fs) + len(gs) - 1) * D, D)]
+
+    @staticmethod
+    def _flatten(cs, D):
+        flat, pad = [], (0,) * D
+        for c in cs:
+            flat += c
+            flat += pad[len(c):]
+        return flat
 
     def coerce(self, x):
         if isinstance(x, int):

@@ -89,6 +89,11 @@ def bits_from_sequence(s: SequenceView) -> int:
     return bits
 
 
+def sequence_from_bits(dom: Domain, bits: int, n: int) -> SequenceView:
+    """The n-term GF(2) sequence with s_i at bit i - 1 of bits."""
+    return SequenceView(dom, [(bits >> i) & 1 for i in range(n)])
+
+
 def format_sequence(s: SequenceView) -> str:
     return ",".join(s.dom.format(t) for t in s.terms)
 

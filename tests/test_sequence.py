@@ -1,7 +1,15 @@
+import random
+
 import pytest
 
 from seqmin.ring import GF2, GFp, GFpPolyRing, IntegerRing
-from seqmin.sequence import SequenceView, format_sequence, parse_sequence
+from seqmin.sequence import (
+    SequenceView,
+    bits_from_sequence,
+    format_sequence,
+    parse_sequence,
+    sequence_from_bits,
+)
 
 
 def test_basic_accessors():
@@ -57,3 +65,15 @@ def test_parse_poly_coefficient_terms():
     assert format_sequence(s) == "(0,1),(1),(2,2)"
     with pytest.raises(ValueError):
         parse_sequence(dom, "(0,1),(1")
+
+
+def test_gf2_bits_codec_round_trip():
+    F2 = GF2()
+    rng = random.Random(7)
+    for n in (0, 1, 2, 63, 64, 65, 300):
+        bits = rng.getrandbits(n) if n else 0
+        s = sequence_from_bits(F2, bits, n)
+        assert len(s) == n and bits_from_sequence(s) == bits
+        assert sequence_from_bits(F2, bits_from_sequence(s), n) == s
+    # trailing zero terms survive: the length comes from n, not from the bits
+    assert sequence_from_bits(F2, 0b01, 4) == SequenceView(F2, [1, 0, 0, 0])

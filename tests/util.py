@@ -1,10 +1,9 @@
-"""Shared test helpers: fast exact identity checks and random generators."""
+"""Shared test helpers: exact identity checks and random generators."""
 
-import array
 import random
 
-from seqmin.poly import PairedPoly, Poly, mul
-from seqmin.ring import GF2, GFp, IntegerRing
+from seqmin.poly import PairedPoly, mul
+from seqmin.ring import GFp, IntegerRing
 from seqmin.sequence import SequenceView
 
 
@@ -19,51 +18,13 @@ def random_sequence(dom, n, rng, int_bound=5):
 
 
 def verify_pair_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
-    """Exact check a.f*b.f + a.f2*b.f2 == constant expected, via schoolbook."""
+    """Exact check a.f*b.f + a.f2*b.f2 == constant expected."""
     total = mul(a.f, b.f) + mul(a.f2, b.f2)
     return total.eq_constant(expected)
 
 
-# -- packed (Kronecker-substitution) fast path for GF(2)/GF(p) ---------
-#
-# A polynomial over GF(p) packs into an int with one w-bit slot per
-# coefficient; integer multiplication then performs the polynomial product
-# with exact (unreduced) slot values as long as no slot overflows.  The
-# identity check reduces each slot mod p afterwards.
-
-
-def pack(f: Poly, width: int) -> int:
-    v = 0
-    for k, c in enumerate(f.coeffs):
-        v |= c << (width * k)
-    return v
-
-
-def packed_identity_gf2(a: PairedPoly, b: PairedPoly, expected: int) -> bool:
-    """8-bit slots; slot values stay below 2*65 < 256 for deg <= 64."""
-    v = pack(a.f, 8) * pack(b.f, 8) + pack(a.f2, 8) * pack(b.f2, 8)
-    v ^= expected & 1  # flip the constant slot's parity bit
-    # every slot must now be even; slot parities sit at bit 0 of each slot
-    mask = int("01" * ((v.bit_length() + 7) // 8 or 1), 16)
-    return v & mask == 0
-
-
-def packed_identity_gfp(a: PairedPoly, b: PairedPoly, expected: int, p: int) -> bool:
-    """16-bit slots; fine for p = 7, deg <= 70 or so."""
-    v = pack(a.f, 16) * pack(b.f, 16) + pack(a.f2, 16) * pack(b.f2, 16)
-    nbytes = (v.bit_length() + 15) // 16 * 2 or 2
-    slots = array.array("H", v.to_bytes(nbytes, "little"))
-    if slots[0] % p != expected % p:
-        return False
-    return all(x % p == 0 for x in slots[1:] if x)
-
-
 def identity_checker(dom):
-    """Fastest exact checker available for the domain."""
-    if isinstance(dom, GF2):
-        return packed_identity_gf2
-    if isinstance(dom, GFp) and dom.p < 30:
-        return lambda a, b, e: packed_identity_gfp(a, b, e, dom.p)
+    """The exact checker for every domain: `mul` packs over GF(p) itself."""
     return verify_pair_identity
 
 
