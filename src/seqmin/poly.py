@@ -10,6 +10,8 @@ series u2/u, and pseudo-division.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .ring import Domain, DomainError, check_same_domain
 from .sequence import SequenceView, _split_terms
 
@@ -87,10 +89,19 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        return add_scaled(self.dom.one, 0, self, self.dom.one, 0, other)
+        return self._termwise(self.dom.add, other)
 
     def __sub__(self, other):
-        return add_scaled(self.dom.one, 0, self, self.dom.neg(self.dom.one), 0, other)
+        return self._termwise(self.dom.sub, other)
+
+    def _termwise(self, op, other) -> "Poly":
+        """op(f_k, g_k) for every k, trimmed; op maps canonical values to one."""
+        check_same_domain(self.dom, other.dom)
+        dom = self.dom
+        cs = [op(c, d) for c, d in zip_longest(self.coeffs, other.coeffs, fillvalue=dom.zero)]
+        while cs and dom.is_zero(cs[-1]):
+            cs.pop()
+        return Poly(dom, cs, _canonical=True)
 
     def __neg__(self):
         return Poly(self.dom, [self.dom.neg(c) for c in self.coeffs], _canonical=True)

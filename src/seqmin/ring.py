@@ -40,15 +40,25 @@ def is_prime(p: int) -> bool:
     return True
 
 
-# mul_mod's crossover: below this many coefficient products (len(fs) *
-# len(gs)) a schoolbook loop on ints beats packing, unpacking and one
-# big-integer multiplication.  Measured on CPython 3.11 over GF(2): 6 x 6
-# breaks even (5.9 us either way), 8 x 8 packs in 6.3 us against 9.8, and
-# 1 x 64 is still faster schoolbook (9.7 against 10.6 us).
-PACK_MIN_PRODUCTS = 64
+# mul_mod's crossover: it packs once (len(fs) - 1) * (len(gs) - 1) reaches
+# this, and below it a schoolbook loop on ints beats packing, unpacking and
+# one big-integer multiplication.  Both ways end in one pass reducing each
+# output coefficient, so a one-coefficient factor (a scaling) gains little
+# from packing and stays schoolbook at any length.  Measured on CPython 3.11
+# (best of 15 x 1000 calls, GF(2) / GF(3) / GF(7), schoolbook against packed
+# us): 5 x 5 is faster schoolbook, 6 x 6 (25) packs (5.7/5.4, 3.6/3.0,
+# 3.5/3.1), 2 x 24 (23) breaks even, 2 x 32 packs (7.9/7.4, 7.6/6.9,
+# 8.1/7.3); 1 x 64 is faster schoolbook (5.7/6.4, 9.8/9.9, 5.5/6.2), 1 x 128
+# breaks even and 1 x 256 packs 8-20 % faster (20.7/19.2, 19.0/17.1,
+# 25.0/20.5).
+PACK_CROSSOVER = 25
 
-# array typecode for each slot size in bytes that a C integer type has,
-# in ascending size
+# array typecode for each slot size in bytes that a C integer type has, in
+# ascending size.  Slots of these sizes pack and unpack as arrays in C; the
+# byte-by-byte loop that every wider slot needs is 3-4.5x slower on the same
+# products (CPython 3.11, best of 7): all of mul_mod's packed products in one
+# round of the benchmark's gf2-mr take 3.0 ms as arrays and 13.7 ms byte by
+# byte, gfp-mr 1.9 and 7.5 ms, ring-growth (GF(3)[y]) 17.2 and 59.7 ms.
 _SLOT_CODES = {array.array(c).itemsize: c for c in "BHILQ"}
 
 
@@ -61,11 +71,11 @@ def mul_mod(fs, gs, p: int) -> list:
     coefficient, each slot wide enough for an unreduced product coefficient
     -- at most (p-1)^2 * min(len fs, len gs) -- rounded up to whole bytes, so
     one big-integer multiplication forms every coefficient at once.  Small
-    products run a schoolbook loop on ints instead, with one % p per output
-    coefficient.
+    products (below PACK_CROSSOVER) run a schoolbook loop on ints instead,
+    with one % p per output coefficient.
     """
     n = len(fs) + len(gs) - 1
-    if len(fs) * len(gs) < PACK_MIN_PRODUCTS:
+    if (len(fs) - 1) * (len(gs) - 1) < PACK_CROSSOVER:
         out = [0] * n
         for i, c in enumerate(fs):
             if c:
@@ -155,7 +165,9 @@ class Domain:
         return "Domain(%s)" % self.descriptor()
 
     def __eq__(self, other):
-        return isinstance(other, Domain) and self.descriptor() == other.descriptor()
+        return self is other or (
+            isinstance(other, Domain) and self.descriptor() == other.descriptor()
+        )
 
     def __hash__(self):
         return hash(self.descriptor())

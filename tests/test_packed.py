@@ -19,8 +19,9 @@ from util import identity_checker, seeded
 X, Y = sympy.symbols("x y")
 FIELDS = [GF2(), GFp(7), GFp(2**31 - 1)]
 
-# (len f, len g): every pair up to 12 x 12 straddles the crossover (64
-# products); then unbalanced and long products up to 333 coefficients
+# (len f, len g): every pair up to 12 x 12 straddles the crossover
+# ((len f - 1) * (len g - 1) = 25); then unbalanced and long products up to
+# 333 coefficients
 LENGTHS = [(a, b) for a in range(1, 13) for b in range(1, 13)] + [
     (1, 300), (2, 300), (300, 3), (7, 9), (9, 7), (8, 8), (13, 5),
     (31, 32), (64, 100), (128, 129), (300, 301), (50, 333)]

@@ -16,7 +16,7 @@ from seqmin.poly import (
     pseudo_divide,
     series_prefix,
 )
-from seqmin.ring import GF2, GFp, GFpPolyRing, DomainError, IntegerRing
+from seqmin.ring import GF2, GFp, GFpPolyRing, DomainError, DomainMismatchError, IntegerRing
 from seqmin.sequence import SequenceView
 
 GF2_ = GF2()
@@ -53,6 +53,23 @@ def test_arithmetic():
     assert (-f).coeffs == (-1, -1)
     assert f.scale(3).coeffs == (3, 3)
     assert f.shift(2).coeffs == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("dom", [GF2_, GFp(7), Z, GFpPolyRing(3)], ids=lambda d: d.descriptor())
+def test_add_sub_match_add_scaled(dom):
+    """f + g and f - g equal add_scaled(1, 0, f, +-1, 0, g), also when leads cancel."""
+    terms = [(), (1,), (2, 1), (0, 0, 1)] if isinstance(dom, GFpPolyRing) else [0, 1, 2, 5, -3]
+    vals = [dom.coerce(t) for t in terms]
+    polys = [Poly(dom, [vals[(3 * k + j) % len(vals)] for j in range(n)])
+             for k in range(4) for n in range(5)]
+    one = dom.one
+    for f in polys:
+        for g in polys:
+            assert f + g == add_scaled(one, 0, f, one, 0, g)
+            assert f - g == add_scaled(one, 0, f, dom.neg(one), 0, g)
+        assert (f - f).is_zero()
+    with pytest.raises(DomainMismatchError):
+        P(GF2_, 1) + P(GFp(3), 1)
 
 
 def test_mul_over_gfp():
