@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lfsr import annihilates, mr_step, read_step_log, run
-from .poly import PairedPoly, Poly, dot, inner, pair_add_scaled, pseudo_divide
+from .lfsr import annihilates, mr_step, read_step_log, run, verify_identity
+from .poly import PairedPoly, Poly, dot, pair_add_scaled, pseudo_divide
 from .ring import DomainError
 from .sequence import SequenceView
 
@@ -79,13 +79,11 @@ def mr_bullet_family(s: SequenceView, q: Poly, a, epsilon=None) -> PairedPoly:
             q * st.mu.f + st.mu_prime.f.scale(a),
             q * st.mu.f2 + st.mu_prime.f2.scale(a),
         )
-        check = inner(st.mu.tilde(), out)
-        if not check.eq_constant(dom.neg(dom.mul(a, st.nabla))):
+        if not verify_identity(st.mu.tilde(), out, dom.neg(dom.mul(a, st.nabla))):
             raise AssertionError("pairing identity failed")
     else:
         out = st.mu + st.mu_prime.scale(a)
-        check = inner(st.mu_prime.tilde(), out)
-        if not check.eq_constant(st.nabla):
+        if not verify_identity(st.mu_prime.tilde(), out, st.nabla):
             raise AssertionError("pairing identity failed")
     if dom.is_zero(out.f.constant_term()):
         raise AssertionError("constant term vanishes")
@@ -132,7 +130,7 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
     # only a jump lifts the degree from LC to LC + e = n + 1 - LC
     if out.f.degree() != n + 1 - prev_mu.f.degree():
         raise AssertionError("appended term did not force a jump to the minimum")
-    if not inner(prev_mu.tilde(), out).eq_constant(st.nabla):
+    if not verify_identity(prev_mu.tilde(), out, st.nabla):
         raise AssertionError("pairing identity failed")
     return ExtendResult(s_next=s_next, mu_ext=out, nabla=st.nabla)
 

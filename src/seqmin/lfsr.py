@@ -30,7 +30,6 @@ from .poly import (
     Poly,
     add_scaled,
     dot,
-    inner,
     pair_add_scaled,
 )
 from .ring import Domain, DomainError, check_same_domain
@@ -283,9 +282,17 @@ def next_identity(st_before: MRState, delta):
 
 
 def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
-    """True iff a.f*b.f + a.f2*b.f2 equals the constant `expected`."""
+    """True iff a.f*b.f + a.f2*b.f2 equals the constant `expected`, exactly.
+
+    The domain decides (`Domain.inner_is_constant`): GF(2), GF(p) and
+    GF(p)[y] expand both products with their packed `polymul`; the integers
+    evaluate the four factors at deg + 1 points and compare there, which is
+    just as exact.  Every identity check of the library runs through here.
+    """
     check_same_domain(a.dom, b.dom)
-    return inner(a, b).eq_constant(expected)
+    dom = a.dom
+    pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
+    return dom.inner_is_constant(pairs, dom.coerce(expected))
 
 
 def normalize_monic(result: MRResult) -> MRResult:

@@ -153,9 +153,15 @@ def dot(dom: Domain, cs, ts):
 
 
 def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
-    """a * x^e * f + b * x^e2 * g, canonical."""
+    """a * x^e * f + b * x^e2 * g, canonical.
+
+    a and b are coerced once; every coefficient after that comes out of
+    `dom.mul` and `dom.add` on canonical values, so it is canonical already
+    and the result is only trimmed.
+    """
     check_same_domain(f.dom, g.dom)
     dom = f.dom
+    a, b = dom.coerce(a), dom.coerce(b)
     n = max(len(f.coeffs) + e, len(g.coeffs) + e2)
     out = [dom.zero] * n
     if not dom.is_zero(a):
@@ -166,7 +172,9 @@ def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
         for k, c in enumerate(g.coeffs):
             if not dom.is_zero(c):
                 out[k + e2] = dom.add(out[k + e2], dom.mul(b, c))
-    return Poly(dom, out)
+    while out and dom.is_zero(out[-1]):
+        out.pop()
+    return Poly(dom, out, _canonical=True)
 
 
 def mul(f: Poly, g: Poly) -> Poly:

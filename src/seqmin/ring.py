@@ -8,13 +8,18 @@ sequences), since bare values do not know their domain.
 
 Each domain also multiplies whole coefficient lists (`Domain.polymul`, what
 `poly.mul` calls).  GF(p) and GF(p)[y] do it with one packed product,
-`mul_mod`; the integers keep the generic schoolbook loop.
+`mul_mod`; the integers keep the generic schoolbook loop.  And each domain
+decides whether a sum of such products is a given constant
+(`Domain.inner_is_constant`, what `lfsr.verify_identity` calls): GF(p) and
+GF(p)[y] expand the products, the integers evaluate them at enough points.
 """
 
 from __future__ import annotations
 
 import array
 import sys
+from functools import reduce
+from itertools import zip_longest
 
 
 class DomainError(ValueError):
@@ -136,6 +141,21 @@ class Domain:
                 if not self.is_zero(d):
                     out[i + j] = self.add(out[i + j], self.mul(c, d))
         return out
+
+    def inner_is_constant(self, pairs, c) -> bool:
+        """Whether the sum of f * g over the (fs, gs) in pairs is the constant c.
+
+        fs and gs are canonical coefficient lists (ascending, empty for
+        zero) and c is canonical.  The generic route expands: one `polymul`
+        per pair of nonzero factors, the products added coefficient by
+        coefficient, the trimmed sum compared with c.  GF(p) and GF(p)[y]
+        use it with their packed `polymul`.
+        """
+        products = [self.polymul(fs, gs) for fs, gs in pairs if fs and gs]
+        total = [reduce(self.add, col) for col in zip_longest(*products, fillvalue=self.zero)]
+        while total and self.is_zero(total[-1]):
+            total.pop()
+        return total == ([] if self.is_zero(c) else [c])
 
     def pow(self, a, k: int):
         if k < 0:
@@ -268,6 +288,31 @@ class IntegerRing(Domain):
             raise DomainError("negative exponent")
         return a**k
 
+    def inner_is_constant(self, pairs, c) -> bool:
+        """Whether sum f * g equals c, decided at D + 1 points without expanding.
+
+        D is the largest len(fs) + len(gs) - 2 over the pairs of nonzero
+        factors, so sum f * g - c is a polynomial of degree at most D.  A
+        nonzero one has at most D roots in an integral domain, so it is zero
+        exactly when it vanishes at the D + 1 distinct integers 0, 1, -1, 2,
+        -2, ...: the check is exact and deterministic.  Each point costs one
+        Horner pass per factor, whose products are by a small int, and one
+        coefficient-sized product per pair, so the two-pair identities of
+        `mr` take 2(D + 1) big products where the schoolbook expansion takes
+        about 2 * L^2 (L the length of mu).  Both identities of 60
+        ring-growth-style inputs (n = 10..21, terms +-3..+-5) take 0.24 s
+        this way and 1.0-1.2 s expanded (CPython 3.11, 2-CPU Xeon VM).
+        """
+        pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
+        if not pairs:
+            return c == 0
+        points = max(len(fs) + len(gs) for fs, gs in pairs) - 1
+        for k in range(points):
+            x = (k + 1) // 2 if k % 2 else -(k // 2)
+            if sum(_horner(fs, x) * _horner(gs, x) for fs, gs in pairs) != c:
+                return False
+        return True
+
     def coerce(self, x):
         if not isinstance(x, int):
             raise DomainError("cannot coerce %r into the integers" % (x,))
@@ -278,6 +323,14 @@ class IntegerRing(Domain):
 
     def format(self, a):
         return str(a)
+
+
+def _horner(cs, x: int) -> int:
+    """The integer polynomial with coefficients cs (ascending) at x."""
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
 
 
 class GFpPolyRing(Domain):

@@ -1,0 +1,175 @@
+"""The integers' identity check: evaluation at D + 1 points, not expansion.
+
+`IntegerRing.inner_is_constant` decides sum f * g = c by evaluating every
+factor at 0, 1, -1, 2, -2, ... (D + 1 points, D the degree bound).  It is
+checked here against `util.verify_pair_identity`, which expands the
+products by the schoolbook loop, and against the generic expanding route
+`Domain.inner_is_constant`: on the engine's true identities, on the same
+identities made false by one unit, and on differences built to vanish at
+every point but the last.
+"""
+
+import pytest
+
+from seqmin.annihilator import extend_by_jump, mr_bullet_family
+from seqmin.lfsr import minimal_realisation, run, verify_identity
+from seqmin.poly import PairedPoly, Poly
+from seqmin.ring import Domain, DomainError, IntegerRing
+from seqmin.sequence import SequenceView
+
+from util import seeded, verify_pair_identity
+
+Z = IntegerRing()
+TERMS = (-5, -4, -3, 3, 4, 5)
+
+
+def _points(k):
+    """The first k evaluation points, in the order the check uses them."""
+    return [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(k)]
+
+
+def _from_roots(roots, scale=1):
+    """scale * prod (x - r), ascending coefficients."""
+    cs = [scale]
+    for r in roots:
+        cs = [a - r * b for a, b in zip([0] + cs, cs + [0])]
+    return cs
+
+
+def _pair(f, f2):
+    return PairedPoly(Poly(Z, f), Poly(Z, f2))
+
+
+def _checks_agree(a, b, c):
+    """The evaluating check, the generic expansion and the reference agree."""
+    want = verify_pair_identity(a, b, c)
+    pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
+    assert verify_identity(a, b, c) == want
+    assert Domain.inner_is_constant(Z, pairs, c) == want
+    return want
+
+
+def _bumped(p: Poly, rng):
+    """p with one coefficient (anywhere up to one past the lead) moved by +-1."""
+    cs = list(p.coeffs) + [0]
+    cs[rng.randrange(len(cs))] += rng.choice((-1, 1))
+    return Poly(Z, cs)
+
+
+@pytest.mark.parametrize("D", range(0, 16))
+def test_difference_vanishing_at_the_first_D_points_is_rejected(D):
+    """sum f * g - c = prod over the first D points (x - x_i) is nonzero.
+
+    It vanishes at those D points, so a check that used only them would
+    accept it; the (D + 1)-th point must reject it.  The product is split
+    between f and g so that D is exactly len f + len g - 2.
+    """
+    rng = seeded(600 + D)
+    roots = _points(D)
+    rng.shuffle(roots)
+    cut = rng.randint(0, D)
+    for scale in (1, -1, rng.randint(2, 10**30)):
+        f, g = _from_roots(roots[:cut], scale), _from_roots(roots[cut:])
+        prod = _from_roots(roots, scale)
+        assert all(sum(cf * x**k for k, cf in enumerate(prod)) == 0 for x in _points(D))
+        assert not verify_identity(_pair(prod, [0]), _pair([1], [0]), 0)
+        for c in (0, rng.randint(-10**20, 10**20)):
+            assert not _checks_agree(_pair(f, [c]), _pair(g, [1]), c)
+
+
+def test_engine_identities_agree_with_the_reference():
+    """True identities at n = 1..25 (terms +-3..+-5) and unit-off variants.
+
+    The reference expands each true identity once.  Its sum is then nabla,
+    so it rejects nabla +- 1 and -nabla; and moving one coefficient of a
+    factor by +-1 moves the sum by +-x^i times that factor's partner, so it
+    rejects the moved identity unless the partner is zero.  Up to n = 18,
+    where expanding is cheap, the reference also expands every variant.
+    """
+    rng = seeded(611)
+    for n in range(1, 26):
+        res = minimal_realisation(SequenceView(Z, [rng.choice(TERMS) for _ in range(n)]))
+        mu_fg = PairedPoly(res.mu.f, res.mu_prime.f)
+        for a, b in ((res.bez_numu, res.mu), (res.bez_fg, mu_fg)):
+            nabla = res.nabla
+            assert verify_pair_identity(a, b, nabla)
+            assert verify_identity(a, b, nabla)
+            for c in (nabla + 1, nabla - 1, -nabla):
+                assert not verify_identity(a, b, c)
+                if n <= 18:
+                    assert not _checks_agree(a, b, c)
+            polys = [a.f, a.f2, b.f, b.f2]
+            for k in range(4):
+                moved = list(polys)
+                moved[k] = _bumped(polys[k], rng)
+                a2, b2 = PairedPoly(*moved[:2]), PairedPoly(*moved[2:])
+                # a.f pairs with b.f, a.f2 with b.f2
+                assert verify_identity(a2, b2, nabla) == polys[k ^ 2].is_zero()
+                if n <= 18:
+                    _checks_agree(a2, b2, nabla)
+
+
+def test_random_small_sums_agree_with_the_reference():
+    """Short factors with small coefficients, so constant sums occur often."""
+    rng = seeded(612)
+    constant = 0
+    for _ in range(3000):
+        fs = [[rng.randint(-2, 2) for _ in range(rng.randint(0, 3))] for _ in range(4)]
+        a, b = _pair(fs[0], fs[1]), _pair(fs[2], fs[3])
+        for c in {0, 1, -1, rng.randint(-8, 8)}:
+            constant += _checks_agree(a, b, c)
+    assert constant > 300
+
+
+def test_annihilator_pairings_over_the_integers():
+    """`mr_bullet_family` (both branches) and `extend_by_jump` assert their
+    pairing identities through `verify_identity`; the reference re-checks
+    every pairing they accepted."""
+    rng = seeded(613)
+    seen = {"family e > 0": 0, "family e <= 0": 0, "extend": 0}
+    for _ in range(600):
+        terms = [0 if rng.random() < 0.4 else rng.choice(TERMS) for _ in range(rng.randint(2, 14))]
+        s = SequenceView(Z, terms)
+        if s.is_zero():
+            continue
+        st = run(s)
+        if not Z.is_zero(st.mu.f.constant_term()):
+            continue
+        a = rng.choice(TERMS)
+        if st.e > 0:
+            q = Poly(Z, [rng.randint(-3, 3) for _ in range(st.e)] + [rng.choice(TERMS)])
+            out = mr_bullet_family(s, q, a)
+            assert verify_pair_identity(st.mu.tilde(), out, -a * st.nabla)
+            f_prime = Poly(Z, [rng.randint(-3, 3) for _ in range(st.e)])
+            res = extend_by_jump(s, f_prime=f_prime)
+            assert verify_pair_identity(st.mu.tilde(), res.mu_ext, res.nabla)
+            seen["family e > 0"] += 1
+            seen["extend"] += 1
+        else:
+            out = mr_bullet_family(s, None, a)
+            assert verify_pair_identity(st.mu_prime.tilde(), out, st.nabla)
+            seen["family e <= 0"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_zero_factors_and_constants():
+    zero, one = Poly.zero(Z), Poly.one(Z)
+    f = Poly(Z, [3, -1, 4])
+    assert _checks_agree(PairedPoly(zero, zero), PairedPoly(f, f), 0)
+    assert not _checks_agree(PairedPoly(zero, zero), PairedPoly(f, f), 1)
+    assert _checks_agree(PairedPoly(f, zero), PairedPoly(zero, f), 0)
+    assert not _checks_agree(PairedPoly(f, zero), PairedPoly(one, f), 0)
+    assert Z.inner_is_constant([], 0) and not Z.inner_is_constant([], 5)
+    # D = 0: constants only, one evaluation point
+    a, b = _pair([3], [0]), _pair([5], [7])
+    assert _checks_agree(a, b, 15)
+    for c in (0, 14, 16, -15):
+        assert not _checks_agree(a, b, c)
+    assert _checks_agree(_pair([3], [2]), _pair([5], [-7]), 1)
+    assert _checks_agree(_pair([-(10**40)], [1]), _pair([10**40], [10**80]), 0)
+
+
+def test_expected_must_be_an_integer():
+    a = _pair([1], [0])
+    with pytest.raises(DomainError):
+        verify_identity(a, a, "1")
