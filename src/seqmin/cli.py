@@ -157,13 +157,27 @@ def cmd_mr(args):
     dom = _dom(args)
     s = parse_sequence(dom, args.seq)
     eps = _eps(dom, args)
-    res = minimal_realisation(s, eps)
+    if args.trace:
+        # one pass: the table is read off the live state and printed once
+        # the answer is known
+        rows = []
+        for st in mr_scan(s, eps):
+            rows.append(" %2d | %5s | %2d | %s ; %s | %s ; %s" % (
+                st.j, dom.format(st.steps[-1].delta), st.e,
+                pretty_poly(st.mu.f), pretty_poly(st.mu.f2),
+                pretty_poly(st.mu_prime.f), pretty_poly(st.mu_prime.f2)))
+        if not rows:
+            raise ValueError("empty sequence")
+        res = st.result()
+    else:
+        res = minimal_realisation(s, eps)
     if args.monic:
         res = normalize_monic(res)
     verified = _verify(res)
     profile = read_step_log(res.state).profile
     if args.trace:
-        _print_trace(s, eps)
+        print("  j | delta | e | mu ; mu2 | mu' ; mu2'")
+        print("\n".join(rows))
     if args.json:
         print(json.dumps(_result_json(res, profile, verified)))
     else:
@@ -178,16 +192,6 @@ def cmd_mr(args):
         print("profile = %s" % profile)
         print("verified: %s" % verified)
     return 0 if verified else 1
-
-
-def _print_trace(s, eps):
-    dom = s.dom
-    print("  j | delta | e | mu ; mu2 | mu' ; mu2'")
-    for snap in mr_scan(s, eps):
-        print(" %2d | %5s | %2d | %s ; %s | %s ; %s" % (
-            snap.j, dom.format(snap.delta), snap.e,
-            pretty_poly(snap.mu.f), pretty_poly(snap.mu.f2),
-            pretty_poly(snap.mu_prime.f), pretty_poly(snap.mu_prime.f2)))
 
 
 def cmd_bezout(args):
@@ -368,7 +372,8 @@ def _glue_term_lists(argv):
     """Pass term lists as `--seq=-1,2`: argparse reads a lone -1,2 as an option."""
     out = []
     for tok in sys.argv[1:] if argv is None else argv:
-        if out and out[-1] in ("--seq", "--u", "--u2", "--sizes") and tok[:2] != "--":
+        if (out and out[-1] in ("--seq", "--epsilon", "--u", "--u2", "--sizes")
+                and tok[:2] != "--"):
             out[-1] += "=" + tok
         else:
             out.append(tok)

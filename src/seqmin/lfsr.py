@@ -13,6 +13,8 @@ One pass over s_1..s_n maintains, division-free:
 and a per-step log of (discrepancy, exponent before the step, jumped).
 The pair tilde(mu') = (-mu2', mu') satisfies tilde(mu') . (mu, mu2) = nabla,
 so Bezout-style coefficients for the realisation come out of the same pass.
+`mr_scan` lets a caller watch that one pass: it yields the live state after
+every step, which is also where the result is read from at the end.
 
 Each step costs one discrepancy, the `dot` of mu with the last LC + 1
 terms, and the `add_scaled` updates of mu, mu2 and bez: `dot` and
@@ -38,11 +40,6 @@ from .sequence import SequenceView
 StepRecord = namedtuple("StepRecord", ["delta", "e_before", "jumped"])
 
 StepLog = namedtuple("StepLog", ["exponents", "profile", "last_jump"])
-
-MRSnapshot = namedtuple(
-    "MRSnapshot",
-    ["j", "e", "mu", "mu_prime", "delta_prime", "nabla", "bez", "delta", "jumped"],
-)
 
 MRResult = namedtuple(
     "MRResult", ["mu", "mu_prime", "bez_numu", "bez_fg", "nabla", "state"]
@@ -94,23 +91,15 @@ class MRState:
     def lc(self) -> int:
         return self.mu.f.degree()
 
-    @property
-    def last_jump_index(self) -> int:
-        """The index function value j' at the current j (or -1)."""
-        return read_step_log(self).last_jump
-
-    def snapshot(self) -> MRSnapshot:
-        last = self.steps[-1] if self.steps else None
-        return MRSnapshot(
-            self.j,
-            self.e,
-            self.mu,
-            self.mu_prime,
-            self.delta_prime,
-            self.nabla,
-            self.bez,
-            last.delta if last else self.dom.one,
-            last.jumped if last else False,
+    def result(self) -> MRResult:
+        """The realisation, prejump pair and both Bezout pairs held now."""
+        return MRResult(
+            mu=self.mu,
+            mu_prime=self.mu_prime,
+            bez_numu=self.mu_prime.tilde(),
+            bez_fg=self.bez,
+            nabla=self.nabla,
+            state=self,
         )
 
 
@@ -203,13 +192,17 @@ class _CountedMul:
 
 
 def mr_scan(s: SequenceView, epsilon=None):
-    """Snapshots of the state after each step j = 1..n."""
+    """The engine's own state after each step j = 1..n, as one pass runs.
+
+    Yields the same MRState every time, updated in place by the next step,
+    so read what a step needs before asking for the next one.  Its Poly and
+    PairedPoly fields are immutable and replaced, never changed, so a st.mu
+    kept at step j still holds step j's value; st.steps[-1] is step j's
+    record (the lists st.steps and st.terms keep growing).
+    """
     st = mr_init(s.dom, epsilon)
-    out = []
     for t in s:
-        mr_step(st, t)
-        out.append(st.snapshot())
-    return out
+        yield mr_step(st, t)
 
 
 def minimal_polynomial(s: SequenceView, epsilon=None) -> Poly:
@@ -227,15 +220,7 @@ def minimal_realisation(s: SequenceView, epsilon=None) -> MRResult:
     """
     if len(s) < 1:
         raise ValueError("empty sequence")
-    st = run(s, epsilon)
-    return MRResult(
-        mu=st.mu,
-        mu_prime=st.mu_prime,
-        bez_numu=st.mu_prime.tilde(),
-        bez_fg=st.bez,
-        nabla=st.nabla,
-        state=st,
-    )
+    return run(s, epsilon).result()
 
 
 def read_step_log(st: MRState) -> StepLog:

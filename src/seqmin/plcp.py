@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lfsr import discrepancy, mr_init, mr_step, read_step_log, run
+from .lfsr import discrepancy, mr_init, mr_scan, mr_step, read_step_log, run
 from .poly import PairedPoly, Poly, dot, mul, pair_add_scaled
 from .ring import DomainError, GF2, GFp
-from .sequence import SequenceView, sequence_from_bits
+from .sequence import SequenceView, bits_from_sequence, sequence_from_bits
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,9 @@ def is_stable(s: SequenceView) -> bool:
     """s_1 = 1 and s_{j+1} = s_j + s_{j/2} for even j < n (binary only)."""
     if not isinstance(s.dom, GF2):
         raise DomainError("stability is defined for binary sequences")
-    n = len(s)
-    if n < 1:
+    if len(s) < 1:
         raise ValueError("empty sequence")
-    if s.term(1) != 1:
-        return False
-    for j in range(2, n, 2):
-        if s.term(j + 1) != (s.term(j) + s.term(j // 2)) % 2:
-            return False
-    return True
+    return stable_bits(bits_from_sequence(s), len(s))
 
 
 def plcp_bits(sbits: int, n: int) -> bool:
@@ -183,9 +177,7 @@ def check_stable_theorem(n: int) -> bool:
 def _check_sigma(dom, sbits, n):
     s = sequence_from_bits(dom, sbits, n)
     x1 = Poly(dom, (1, 1))
-    st = mr_init(dom)
-    for t in s:
-        mr_step(st, t)
+    for st in mr_scan(s):
         mu, nu = st.mu.f, st.mu.f2
         sigma = mul(nu, nu) + mul(mul(x1, nu), mu) + mul(mu, mu)
         if sigma.coeff(0) != 1 or sigma.coeff(2) != 0:

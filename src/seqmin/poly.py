@@ -112,14 +112,6 @@ class Poly:
             return Poly.zero(dom)
         return Poly(dom, [dom.mul(c, a) for a in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k, k >= 0."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.coeffs:
-            return self
-        return Poly(self.dom, (self.dom.zero,) * k + self.coeffs, _canonical=True)
-
     def __mul__(self, other):
         return mul(self, other)
 

@@ -42,12 +42,6 @@ class SequenceView:
             raise IndexError("sequence index %d out of range 1..%d" % (i, len(self.terms)))
         return self.terms[i - 1]
 
-    def get(self, i: int):
-        """s_i with 1-based i; out-of-range terms read as 0."""
-        if 1 <= i <= len(self.terms):
-            return self.terms[i - 1]
-        return self.dom.zero
-
     def prefix(self, j: int) -> "SequenceView":
         return SequenceView(self.dom, self.terms[:j])
 

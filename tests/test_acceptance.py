@@ -85,21 +85,21 @@ def test_criterion_02_table2_replay():
         (1, 0, "1,1,1", "1,1", "0,1", "1", ("1", "0,1")),
         (2, 0, "1,1,1", "1,1", "0,1", "1", ("1", "0,1")),
     ]
-    snaps = mr_scan(s)
-    st = run(s)
-    for j, (snap, exp) in enumerate(zip(snaps, expected), start=1):
+    full = run(s)
+    for j, (st, exp) in enumerate(zip(mr_scan(s), expected), start=1):
         e_before, delta, mu, mu2, mup, mup2, tilde_exp = exp
-        assert st.steps[j - 1].e_before == e_before
-        assert snap.delta == delta
-        assert snap.mu == PairedPoly(pp(mu), pp(mu2))
-        assert snap.mu_prime == PairedPoly(pp(mup), pp(mup2))
-        tilde = snap.mu_prime.tilde()
+        assert st.j == j
+        assert full.steps[j - 1].e_before == e_before
+        assert st.steps[-1].delta == delta
+        assert st.mu == PairedPoly(pp(mu), pp(mu2))
+        assert st.mu_prime == PairedPoly(pp(mup), pp(mup2))
+        tilde = st.mu_prime.tilde()
         assert tilde == PairedPoly(pp(tilde_exp[0]), pp(tilde_exp[1]))
         if j >= 3:
             # both identity families evaluate to the constant 1
-            assert inner(tilde, snap.mu).eq_constant(1)
+            assert inner(tilde, st.mu).eq_constant(1)
             assert inner(
-                snap.bez, PairedPoly(snap.mu.f, snap.mu_prime.f)
+                st.bez, PairedPoly(st.mu.f, st.mu_prime.f)
             ).eq_constant(1)
 
 

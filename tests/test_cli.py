@@ -229,6 +229,7 @@ def test_integer_output_past_the_digit_limit(capsys):
     ("--seq", "-1,2,3", ["mr", "--ring", "int"]),
     ("--u", "-2,0,1", ["bezout", "--ring", "int", "--u2=-3,1"]),
     ("--u2", "-3,1", ["bezout", "--ring", "int", "--u=-2,0,1"]),
+    ("--epsilon", "-1,1", ["mr", "--ring", "gfp_poly:3", "--seq", "1,2", "--json"]),
 ])
 def test_leading_negative_term(capsys, option, value, rest):
     joined = run_cli(capsys, *rest, "%s=%s" % (option, value))

@@ -14,6 +14,7 @@ from seqmin.lfsr import (
     mr_step,
     next_identity,
     normalize_monic,
+    read_step_log,
     run,
     verify_identity,
 )
@@ -71,7 +72,7 @@ def test_worked_example_full_state():
     assert [r.jumped for r in st.steps] == [
         False, True, False, False, True, False, True, False,
     ]
-    assert st.last_jump_index == 6
+    assert read_step_log(st).last_jump == 6
 
 
 def test_minimal_polynomial_examples():
@@ -169,13 +170,13 @@ def test_next_identity_jump_steps():
     for s in (S8, S6):
         st = mr_init(s.dom)
         for t in s:
-            prior = st.snapshot()
+            j_before = st.j
             mu_before = st.mu
             mr_step(st, t)
             rec = st.steps[-1]
             if rec.jumped:
                 saved = mr_init(s.dom)
-                for u in s.prefix(prior.j):
+                for u in s.prefix(j_before):
                     mr_step(saved, u)
                 coeffs, nabla = next_identity(saved, rec.delta)
                 total = coeffs.f * mu_before.f + coeffs.f2 * st.mu.f
@@ -223,9 +224,15 @@ def test_epsilon_changes_initial_pair_only():
 
 
 def test_mr_scan_matches_stepwise():
-    snaps = mr_scan(S8)
-    assert [sn.mu.f.degree() for sn in snaps] == lc_profile(S8)
-    assert snaps[-1].mu.f == pp("0,1,1,0,1")
+    states, mus = [], []
+    for st in mr_scan(S8):
+        states.append(st)
+        mus.append(st.mu)
+    # one live state, whose immutable mu kept at step j is step j's mu
+    assert all(other is st for other in states)
+    assert [mu.f.degree() for mu in mus] == lc_profile(S8)
+    assert mus == [run(S8.prefix(j)).mu for j in range(1, len(S8) + 1)]
+    assert st.mu.f == pp("0,1,1,0,1")
 
 
 def test_gf2_bit_engine_agrees():

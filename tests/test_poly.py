@@ -52,7 +52,6 @@ def test_arithmetic():
     assert (f - f).is_zero()
     assert (-f).coeffs == (-1, -1)
     assert f.scale(3).coeffs == (3, 3)
-    assert f.shift(2).coeffs == (0, 0, 1, 1)
 
 
 @pytest.mark.parametrize("dom", [GF2_, GFp(7), Z, GFpPolyRing(3)], ids=lambda d: d.descriptor())

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 import seqmin.lfsr as lfsr
 from seqmin.cli import main
-from seqmin.lfsr import lc_profile, mr_scan, read_step_log, run
+from seqmin.lfsr import lc_profile, mr_scan, read_step_log, run, verify_identity
+from seqmin.poly import PairedPoly
 from seqmin.ring import domain_from_string
 from seqmin.sequence import SequenceView
 
@@ -28,15 +30,54 @@ def test_step_log_matches_mr_scan(ring, with_epsilon):
     eps = dom.one if with_epsilon else None
     for _ in range(40):
         s = SequenceView(dom, [term(rng) for _ in range(rng.randint(1, longest))])
-        snaps = mr_scan(s, eps)
+        degrees, exponents, jumps = [], [], []
+        for scanned in mr_scan(s, eps):
+            degrees.append(scanned.mu.f.degree())
+            exponents.append(scanned.e)
+            if scanned.steps[-1].jumped:
+                jumps.append(scanned.j - 1)
         st = run(s, eps)
         log = read_step_log(st)
-        assert log.profile == [snap.mu.f.degree() for snap in snaps]
-        assert log.exponents == [snap.e for snap in snaps]
-        jumps = [snap.j - 1 for snap in snaps if snap.jumped]
+        assert log.profile == degrees
+        assert log.exponents == exponents
         assert log.last_jump == (jumps[-1] if jumps else -1)
-        assert st.last_jump_index == log.last_jump
+        assert read_step_log(scanned) == log
         assert lc_profile(s, eps) == log.profile
+
+
+# ring -> strategy for one term, lengths as in RINGS
+TERMS = {
+    "gf2": hs.integers(0, 1),
+    "gfp:7": hs.integers(0, 6),
+    "int": hs.integers(-5, 5),
+    "gfp_poly:3": hs.tuples(hs.integers(0, 2), hs.integers(0, 2)),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(derandomize=True, deadline=None)
+@given(data=hs.data())
+def test_live_state_at_every_step(ring, data):
+    """One mr_scan pass: at each step both identities hold, LC does not fall,
+    and mu, mu', e are those of a fresh pass over the prefix."""
+    dom = domain_from_string(ring)
+    term = TERMS[ring]
+    terms = data.draw(hs.lists(term, min_size=1, max_size=RINGS[ring][0]))
+    eps = data.draw(hs.none() | term)
+    s = SequenceView(dom, terms)
+    lc = 0
+    for j, st in enumerate(mr_scan(s, eps), start=1):
+        assert st.j == j and len(st.steps) == j
+        res = st.result()
+        assert verify_identity(res.bez_numu, res.mu, res.nabla)
+        assert verify_identity(
+            res.bez_fg, PairedPoly(res.mu.f, res.mu_prime.f), res.nabla
+        )
+        assert st.lc >= lc
+        lc = st.lc
+        ref = run(s.prefix(j), eps)
+        assert (st.mu, st.mu_prime, st.e) == (ref.mu, ref.mu_prime, ref.e)
+    assert j == len(s)
 
 
 @pytest.fixture
@@ -60,7 +101,9 @@ S8 = "0,1,1,0,0,1,0,1"
     (["mr", "--seq", S8], 1),
     (["mr", "--seq", S8, "--json"], 1),
     (["mr", "--ring", "gfp:7", "--seq", "1,3,2,6", "--monic"], 1),
-    (["mr", "--seq", S8, "--trace"], 2),
+    (["mr", "--seq", S8, "--trace"], 1),
+    (["mr", "--seq", S8, "--trace", "--json"], 1),
+    (["mr", "--ring", "gfp:7", "--seq", "1,3,2,6", "--monic", "--trace"], 1),
     (["annihilator", "--seq", S8], 1),
     (["annihilator", "--seq", S8, "--extend"], 1),
     (["annihilator", "--seq", S8, "--oracle"], 1),
