@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lfsr import annihilates, mr_step, read_step_log, run, verify_identity
-from .poly import PairedPoly, Poly, dot, pair_add_scaled, pseudo_divide
+from .lfsr import (annihilates, mr_step, partial_discrepancy, read_step_log, run,
+                   verify_identity)
+from .poly import PairedPoly, Poly, pair_add_scaled, pseudo_divide
 from .ring import DomainError
 from .sequence import SequenceView
 
@@ -110,12 +111,10 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
     if f_prime is not None and not f_prime.is_zero() and f_prime.degree() > e - 1:
         raise DomainError("deg(f_prime) must be at most %d" % (e - 1))
     n = len(s)
-    mu = st.mu.f
-    lead = mu.lead()
     # discrepancy of the extended prefix: c + lead(mu) * s_{n+1}
-    c = dot(dom, mu.coeffs[:-1], s.terms[n - mu.degree():])
+    c = partial_discrepancy(st)
     if dom.is_field:
-        s_next = dom.mul(dom.inv(lead), dom.sub(dom.one, c))
+        s_next = dom.mul(dom.inv(st.mu.f.lead()), dom.sub(dom.one, c))
     else:
         s_next = dom.zero if not dom.is_zero(c) else dom.one
     prev_mu = st.mu

@@ -25,23 +25,22 @@ LrsResult = namedtuple("LrsResult", ["f", "nabla", "mu", "stable"])
 
 
 def reduce_equal_degree(u: Poly, u2: Poly):
-    """Replace u2 of equal degree by u2' = l2*u - l*u2 of lower degree.
+    """Replace u2 of equal degree by u2' = l2*u - u2 of lower degree.
 
-    Returns (u2', adapter) where adapter maps a coefficient pair (f, f2)
-    valid for (u, u2') to one valid for (u, u2): since
-    f*u + f2*(l2*u - l*u2) = (f + l2*f2)*u + (-l*f2)*u2.
+    u is monic and l2 = lead(u2).  Returns (u2', adapter) where adapter
+    maps a coefficient pair (f, f2) valid for (u, u2') to one valid for
+    (u, u2): since f*u + f2*(l2*u - u2) = (f + l2*f2)*u + (-f2)*u2.
     """
     check_same_domain(u.dom, u2.dom)
     if not u.is_monic():
         raise DomainError("u must be monic")
     if u2.is_zero() or u2.degree() != u.degree():
         raise DomainError("degrees must be equal")
-    ell = u.lead()
     ell2 = u2.lead()
-    u2r = u.scale(ell2) - u2.scale(ell)
+    u2r = u.scale(ell2) - u2
 
     def adapter(pair: PairedPoly) -> PairedPoly:
-        return PairedPoly(pair.f + pair.f2.scale(ell2), -pair.f2.scale(ell))
+        return PairedPoly(pair.f + pair.f2.scale(ell2), -pair.f2)
 
     return u2r, adapter
 
@@ -60,25 +59,21 @@ def bezout_pair(u: Poly, u2: Poly, count_mults: bool = False) -> BezoutResult:
     d = u.degree()
     if d < 1:
         raise DomainError("deg(u) must be at least 1")
-    if u2.is_zero():
+    # the engine expands v/u for v = u2, or for the lower-degree u2' that
+    # reduce_equal_degree makes of an equal-degree u2
+    v, adapter = u2, None
+    if u2.degree() == d:
+        v, adapter = reduce_equal_degree(u, u2)
+    if v.is_zero():
         return BezoutResult(
             PairedPoly(Poly.one(dom), Poly.zero(dom)), dom.one, u, 0
         )
-    if u2.degree() > d:
+    if v.degree() > d:
         raise DomainError("deg(u2) must not exceed deg(u)")
-    if u2.degree() == d:
-        u2r, adapter = reduce_equal_degree(u, u2)
-        if u2r.is_zero():
-            f = PairedPoly(Poly.one(dom), Poly.zero(dom))
-            return BezoutResult(f, dom.one, u, 0)
-        inner_res = bezout_pair(u, u2r, count_mults)
-        f = adapter(inner_res.f)
-        g = mul(f.f, u) + mul(f.f2, u2)
-        return BezoutResult(f, inner_res.nabla, g, inner_res.mults)
-
-    s = series_prefix(u2, u, 2 * d)
-    st = run(s, count_mults=count_mults)
+    st = run(series_prefix(v, u, 2 * d), count_mults=count_mults)
     f = st.mu_prime.tilde()
+    if adapter is not None:
+        f = adapter(f)
     g = mul(f.f, u) + mul(f.f2, u2)
     return BezoutResult(f, st.nabla, g, st.mults)
 

@@ -29,7 +29,7 @@ from .lfsr import (
 )
 from .oracle import brute_min_annihilator, ext_euclid
 from .poly import PairedPoly, Poly, parse_poly, pretty_poly, pseudo_divide
-from .ring import DomainError, domain_from_string
+from .ring import GF2, DomainError, domain_from_string
 from .sequence import parse_sequence, sequence_from_bits
 
 
@@ -234,6 +234,9 @@ def cmd_bezout(args):
 def cmd_plcp(args):
     dom = domain_from_string(args.ring)
     if args.exhaustive is not None:
+        if not isinstance(dom, GF2):
+            print("--exhaustive checks GF(2)^N only; use --ring gf2", file=sys.stderr)
+            return 2
         ok = plcp_mod.check_stable_theorem(args.exhaustive)
         counts = plcp_mod.count_plcp(2, args.exhaustive)
         if args.json:
@@ -342,19 +345,19 @@ def cmd_bench(args):
             if "mults" in row:
                 line += "  (%d mults at n=%d)" % (row["mults"], row["mults_n"])
             print(line)
-        print("fitted exponent alpha = %.3f" % alpha)
+        print("fitted exponent alpha = %s" % ("n/a" if alpha is None else "%.3f" % alpha))
     return 0
 
 
 def _fit_exponent(rows):
-    """Least-squares slope of log(time) against log(n)."""
+    """Least-squares slope of log(time) against log(n); None for < 2 distinct n."""
     pts = [(math.log(r["n"]), math.log(max(r["seconds"], 1e-9))) for r in rows]
     n = len(pts)
     mx = sum(x for x, _ in pts) / n
     my = sum(y for _, y in pts) / n
     num = sum((x - mx) * (y - my) for x, y in pts)
     den = sum((x - mx) ** 2 for x, y in pts)
-    return num / den if den else float("nan")
+    return num / den if den else None
 
 
 _COMMANDS = {

@@ -17,8 +17,10 @@ so Bezout-style coefficients for the realisation come out of the same pass.
 every step, which is also where the result is read from at the end.
 
 Each step costs one discrepancy, the `dot` of mu with the last LC + 1
-terms, and the `add_scaled` updates of mu, mu2 and bez: `dot` and
-`add_scaled` (in `seqmin.poly`) are the library's two coefficient kernels.
+terms, and one `add_scaled` update each of mu, mu2 and bez's second entry,
+shared by both branches: `dot` and `add_scaled` (in `seqmin.poly`) are the
+library's two coefficient kernels.  `mr_gf2_scan` is the same recursion on
+bit-packed GF(2) ints; `mr_gf2_bits` and `plcp.plcp_bits` read it.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class MRState:
     """Mutable engine state; one instance per sequence being consumed."""
 
     dom: Domain
-    epsilon: object
     j: int = 0
     e: int = 1
     mu: PairedPoly = None
@@ -109,7 +110,7 @@ def mr_init(dom: Domain, epsilon=None) -> MRState:
         epsilon = dom.zero
     else:
         epsilon = dom.coerce(epsilon)
-    st = MRState(dom=dom, epsilon=epsilon)
+    st = MRState(dom=dom)
     st.mu = PairedPoly(Poly.one(dom), Poly.zero(dom))
     st.mu_prime = PairedPoly(
         Poly.constant(dom, epsilon), Poly.constant(dom, dom.neg(dom.one))
@@ -135,29 +136,37 @@ def mr_step(st: MRState, s_next) -> MRState:
 
     jumped = False
     if not dom.is_zero(delta):
+        # one update for both branches: Delta' x^up mu - Delta x^down mu'
+        # with up = max(e, 0) and down = max(-e, 0), and the same for bez
         dp = st.delta_prime
-        neg_delta = dom.neg(delta)
-        if e <= 0:
-            st.mu = pair_add_scaled(dp, 0, st.mu, neg_delta, -e, st.mu_prime)
-            st.bez = PairedPoly(
-                st.bez.f, add_scaled(dp, 0, st.bez.f2, delta, -e, st.bez.f)
-            )
-            st.nabla = dom.mul(dp, st.nabla)
-        else:
-            jumped = True
-            prev = st.mu
-            st.mu = pair_add_scaled(dp, e, st.mu, neg_delta, 0, st.mu_prime)
-            st.mu_prime = prev
-            st.bez = PairedPoly(
-                -st.bez.f2, add_scaled(dp, e, st.bez.f2, delta, 0, st.bez.f)
-            )
+        up, down = (e, 0) if e > 0 else (0, -e)
+        mu = pair_add_scaled(dp, up, st.mu, dom.neg(delta), down, st.mu_prime)
+        bez2 = _bez_update(st.bez, dp, up, delta, down)
+        jumped = e > 0
+        st.bez = PairedPoly(-st.bez.f2 if jumped else st.bez.f, bez2)
+        if jumped:
+            st.mu_prime = st.mu
             st.nabla = dom.mul(delta, st.nabla)
             st.delta_prime = delta
             e = -e
+        else:
+            st.nabla = dom.mul(dp, st.nabla)
+        st.mu = mu
     st.e = e + 1
     st.j = j
     st.steps.append(StepRecord(delta, e_before, jumped))
     return st
+
+
+def _bez_update(bez: PairedPoly, dp, up: int, delta, down: int) -> Poly:
+    """Delta' x^up bez_2 + Delta x^down bez_1: bez's new second entry."""
+    return add_scaled(dp, up, bez.f2, delta, down, bez.f)
+
+
+def partial_discrepancy(st: MRState):
+    """The next discrepancy minus lead(mu) * s_{j+1}: mu_k s_{k+j+1-LC}, k < LC."""
+    mu = st.mu.f
+    return dot(st.dom, mu.coeffs[:-1], st.terms[st.j - mu.degree():])
 
 
 def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
@@ -257,13 +266,9 @@ def next_identity(st_before: MRState, delta):
         raise ValueError("identity requires a positive exponent before the step")
     if dom.is_zero(delta):
         raise ValueError("identity requires a nonzero discrepancy")
-    f = st_before.bez.f
-    f2 = st_before.bez.f2
-    dp = st_before.delta_prime
-    first = add_scaled(delta, 0, f, dp, e, f2)
-    coeffs = PairedPoly(first, -f2)
-    nabla_n = dom.mul(delta, st_before.nabla)
-    return coeffs, nabla_n
+    # mr_step's jump update of bez, which pairs with (mu^(n), mu^(n-1))
+    first = _bez_update(st_before.bez, st_before.delta_prime, e, delta, 0)
+    return PairedPoly(first, -st_before.bez.f2), dom.mul(delta, st_before.nabla)
 
 
 def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
@@ -307,13 +312,14 @@ def normalize_monic(result: MRResult) -> MRResult:
 # -- bit-packed GF(2) fast path ---------------------------------------
 
 
-def mr_gf2_bits(seq_bits: int, n: int):
-    """GF(2) realisation with polynomials as bit-packed ints (epsilon = 0).
+def mr_gf2_scan(seq_bits: int, n: int):
+    """The GF(2) engine on bit-packed ints (epsilon = 0), one step at a time.
 
-    seq_bits holds s_i at bit i-1.  Returns (mu, mu2, mu', mu2', e) with the
-    same semantics as the generic engine; over GF(2) every nonzero scalar is
-    1 so nabla = 1 throughout.  Used by the benchmark path and exhaustive
-    scans; tested to agree with the generic engine.
+    seq_bits holds s_i at bit i-1; polynomials are ints with x^k at bit k.
+    Yields (mu, mu2, mu', mu2', e) after each step j = 1..n, with the same
+    semantics as the generic engine's state; over GF(2) every nonzero
+    scalar is 1, so nabla = 1 throughout.  Tested step by step against
+    `mr_scan`.
     """
     mu, mu2 = 1, 0
     mup, mup2 = 0, 1
@@ -329,4 +335,12 @@ def mr_gf2_bits(seq_bits: int, n: int):
                 mu2, mup2 = (mu2 << e) ^ mup2, mu2
                 e = -e
         e += 1
-    return mu, mu2, mup, mup2, e
+        yield mu, mu2, mup, mup2, e
+
+
+def mr_gf2_bits(seq_bits: int, n: int):
+    """(mu, mu2, mu', mu2', e) after the whole GF(2) pass over s_1..s_n."""
+    state = (1, 0, 0, 1, 1)
+    for state in mr_gf2_scan(seq_bits, n):
+        pass
+    return state

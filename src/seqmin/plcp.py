@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lfsr import discrepancy, mr_init, mr_scan, mr_step, read_step_log, run
-from .poly import PairedPoly, Poly, dot, mul, pair_add_scaled
+from .lfsr import (discrepancy, mr_gf2_scan, mr_init, mr_scan, mr_step,
+                   partial_discrepancy, read_step_log, run)
+from .poly import PairedPoly, Poly, mul, pair_add_scaled
 from .ring import DomainError, GF2, GFp
 from .sequence import SequenceView, bits_from_sequence, sequence_from_bits
 
@@ -59,21 +60,15 @@ def is_stable(s: SequenceView) -> bool:
 
 
 def plcp_bits(sbits: int, n: int) -> bool:
-    """Perfect-profile test for a bit-packed binary sequence, early exit."""
-    mu, mup = 1, 0
-    e = 1
-    for j in range(1, n + 1):
-        nz = (mu & (sbits >> ((j + e) // 2 - 1))).bit_count() & 1
-        if j % 2 == 1:
-            if not nz:
-                return False
-        if nz:
-            if e <= 0:
-                mu ^= mup << -e
-            else:
-                mu, mup = (mu << e) ^ mup, mu
-                e = -e
-        e += 1
+    """Perfect-profile test for a bit-packed binary sequence, early exit.
+
+    The profile is perfect exactly when e_j = (j + 1) mod 2 at every step.
+    """
+    want = 0
+    for _, _, _, _, e in mr_gf2_scan(sbits, n):
+        if e != want:
+            return False
+        want ^= 1
     return True
 
 
@@ -135,21 +130,18 @@ def random_plcp_sequence(dom: GFp, n: int, rng) -> SequenceView:
     if not isinstance(dom, GFp):
         raise DomainError("perfect-profile sampling needs a prime field")
     st = mr_init(dom)
-    terms = []
     for j in range(1, n + 1):
         # Delta_j = partial + lead(mu) * s_j; solve for s_j
-        mu = st.mu.f
-        partial = dot(dom, mu.coeffs[:-1], terms[len(terms) - mu.degree():])
+        partial = partial_discrepancy(st)
         if j % 2 == 1:
             target = rng.randrange(1, dom.p)
         else:
             target = rng.randrange(dom.p)
-        s_j = dom.mul(dom.inv(mu.lead()), dom.sub(target, partial))
-        terms.append(s_j)
+        s_j = dom.mul(dom.inv(st.mu.f.lead()), dom.sub(target, partial))
         mr_step(st, s_j)
         if not st.steps[-1].delta == target:
             raise AssertionError("discrepancy inversion failed")
-    return SequenceView(dom, terms)
+    return SequenceView(dom, st.terms)
 
 
 def check_stable_theorem(n: int) -> bool:

@@ -45,20 +45,17 @@ def reciprocal_annihilates(f: Poly, s: SequenceView) -> bool:
 def iy_classify(s: SequenceView, epsilon=None) -> IYResult:
     """The reversed-complexity dichotomy for sequences with n = 2 * LC.
 
-    Requires a factorial coefficient domain and n = 2 * LC(s) exactly.
+    Requires n = 2 * LC(s) exactly (every domain here is factorial).
     verdict is true iff rev_lc equals lc (mu_0 != 0) or lc + 1 (mu_0 = 0).
     """
     if len(s) < 1:
         raise ValueError("empty sequence")
-    if not s.dom.is_factorial:
-        raise DomainError("classification needs a factorial domain")
     st = run(s, epsilon)
     lc = st.mu.f.degree()
     if len(s) != 2 * lc:
-        raise DomainError(
-            "need n = 2*LC exactly (n=%d, LC=%d); try a prefix of length %s"
-            % (len(s), lc, _longest_iy_prefix(st))
-        )
+        j = _longest_iy_prefix(st)
+        hint = "no prefix has n = 2*LC" if j is None else "try a prefix of length %d" % j
+        raise DomainError("need n = 2*LC exactly (n=%d, LC=%d); %s" % (len(s), lc, hint))
     rev = reverse_lc(s, epsilon)
     expected = lc if not s.dom.is_zero(st.mu.f.constant_term()) else lc + 1
     return IYResult(lc=lc, rev_lc=rev, verdict=rev == expected)

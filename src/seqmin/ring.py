@@ -104,9 +104,7 @@ def mul_mod(fs, gs, p: int) -> list:
 class Domain:
     """Abstract coefficient domain."""
 
-    kind: str = ""
     is_field: bool = False
-    is_factorial: bool = True
 
     zero = None
     one = None
@@ -124,7 +122,7 @@ class Domain:
         raise NotImplementedError
 
     def inv(self, a):
-        raise DomainError("%s is not a field; no inverses" % self.kind)
+        raise DomainError("%s is not a field; no inverses" % self.descriptor())
 
     def polymul(self, fs, gs) -> list:
         """The product of two nonempty coefficient lists (ascending, untrimmed).
@@ -179,7 +177,7 @@ class Domain:
         raise NotImplementedError
 
     def descriptor(self) -> str:
-        return self.kind
+        raise NotImplementedError
 
     def __repr__(self):
         return "Domain(%s)" % self.descriptor()
@@ -197,7 +195,6 @@ class GFp(Domain):
     """Prime field GF(p), canonical representatives in [0, p-1]."""
 
     is_field = True
-    is_factorial = True
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -205,7 +202,6 @@ class GFp(Domain):
         if p >= 2**31:
             raise DomainError("modulus too large (p < 2^31 required)")
         self.p = p
-        self.kind = "gfp"
         self.zero = 0
         self.one = 1
 
@@ -256,7 +252,6 @@ class GF2(GFp):
 
     def __init__(self):
         super().__init__(2)
-        self.kind = "gf2"
 
     def descriptor(self):
         return "gf2"
@@ -265,9 +260,7 @@ class GF2(GFp):
 class IntegerRing(Domain):
     """Arbitrary-precision integers; a factorial (and principal ideal) domain."""
 
-    kind = "int"
     is_field = False
-    is_factorial = True
     zero = 0
     one = 1
 
@@ -324,6 +317,9 @@ class IntegerRing(Domain):
     def format(self, a):
         return str(a)
 
+    def descriptor(self):
+        return "int"
+
 
 def _horner(cs, x: int) -> int:
     """The integer polynomial with coefficients cs (ascending) at x."""
@@ -342,7 +338,6 @@ class GFpPolyRing(Domain):
     """
 
     is_field = False
-    is_factorial = True
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -350,7 +345,6 @@ class GFpPolyRing(Domain):
         if p >= 2**31:
             raise DomainError("modulus too large (p < 2^31 required)")
         self.p = p
-        self.kind = "gfp_poly"
         self.zero = ()
         self.one = (1,)
 

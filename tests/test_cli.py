@@ -244,3 +244,32 @@ def test_bench_rejects_bad_sizes(capsys, sizes):
     bad = [t for t in sizes.split(",") if not t.isdigit() or t == "0"][0]
     assert code == 2
     assert repr(bad) in err
+
+
+def _reject_constant(name):
+    raise ValueError("not JSON: %s" % name)
+
+
+@pytest.mark.parametrize("sizes", ["100", "64,64"])
+def test_bench_with_one_distinct_size_prints_valid_json(capsys, sizes):
+    code, out, _ = run_cli(capsys, "bench", "--sizes", sizes, "--json")
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["alpha"] is None
+    code, out, _ = run_cli(capsys, "bench", "--sizes", sizes)
+    assert code == 0
+    assert out.endswith("fitted exponent alpha = n/a\n")
+
+
+@pytest.mark.parametrize("ring", ["gfp:7", "gfp:2", "int", "gfp_poly:3"])
+def test_plcp_exhaustive_needs_gf2(capsys, ring):
+    code, out, err = run_cli(capsys, "plcp", "--ring", ring, "--exhaustive", "4")
+    assert code == 2
+    assert out == ""
+    assert "GF(2)" in err and "--ring gf2" in err
+
+
+def test_classify_error_without_a_prefix(capsys):
+    code, out, err = run_cli(capsys, "reverse-lc", "--seq", "0,0,0", "--classify")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need n = 2*LC exactly (n=3, LC=0); no prefix has n = 2*LC\n"

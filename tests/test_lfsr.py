@@ -9,6 +9,7 @@ from seqmin.lfsr import (
     minimal_polynomial,
     minimal_realisation,
     mr_gf2_bits,
+    mr_gf2_scan,
     mr_init,
     mr_scan,
     mr_step,
@@ -23,7 +24,7 @@ from seqmin.poly import PairedPoly, Poly, parse_poly, poly_from_bits, poly_part
 from seqmin.ring import DomainError, GF2, GFp, IntegerRing, domain_from_string
 from seqmin.sequence import SequenceView, bits_from_sequence
 from test_step_log import RINGS
-from util import identity_checker, random_sequence, seeded
+from util import random_sequence, seeded, verify_pair_identity
 
 F2 = GF2()
 F5 = GFp(5)
@@ -134,14 +135,13 @@ def test_realisation_window():
 def test_identities_random_prefixes():
     rng = seeded(7)
     for dom in (F2, F5, Z):
-        check = identity_checker(dom)
         for _ in range(30):
             s = random_sequence(dom, rng.randint(1, 24), rng)
             st = mr_init(dom)
             for t in s:
                 mr_step(st, t)
-                assert check(st.mu_prime.tilde(), st.mu, st.nabla)
-                assert check(
+                assert verify_pair_identity(st.mu_prime.tilde(), st.mu, st.nabla)
+                assert verify_pair_identity(
                     st.bez, PairedPoly(st.mu.f, st.mu_prime.f), st.nabla
                 )
                 assert not dom.is_zero(st.nabla)
@@ -236,17 +236,23 @@ def test_mr_scan_matches_stepwise():
 
 
 def test_gf2_bit_engine_agrees():
+    def unpack(state):
+        *polys, e = state
+        return [poly_from_bits(F2, b) for b in polys] + [e]
+
+    def generic(st):
+        return [st.mu.f, st.mu.f2, st.mu_prime.f, st.mu_prime.f2, st.e]
+
     rng = seeded(10)
-    for _ in range(200):
-        n = rng.randint(1, 40)
+    for k in range(201):
+        n = rng.randint(1, 40) if k else 0
         s = random_sequence(F2, n, rng)
-        st = run(s)
-        mu, mu2, mup, mup2, e = mr_gf2_bits(bits_from_sequence(s), n)
-        assert poly_from_bits(F2, mu) == st.mu.f
-        assert poly_from_bits(F2, mu2) == st.mu.f2
-        assert poly_from_bits(F2, mup) == st.mu_prime.f
-        assert poly_from_bits(F2, mup2) == st.mu_prime.f2
-        assert e == st.e
+        bits = bits_from_sequence(s)
+        # both engines side by side: all five values after every step
+        for state, st in zip(mr_gf2_scan(bits, n), mr_scan(s), strict=True):
+            assert unpack(state) == generic(st)
+        # the last state, or the initial one when n = 0
+        assert unpack(mr_gf2_bits(bits, n)) == generic(run(s))
 
 
 def test_product_realisation_rule():

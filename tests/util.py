@@ -23,10 +23,5 @@ def verify_pair_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     return total.eq_constant(expected)
 
 
-def identity_checker(dom):
-    """The exact checker for every domain: `mul` packs over GF(p) itself."""
-    return verify_pair_identity
-
-
 def seeded(seed=20260825):
     return random.Random(seed)
