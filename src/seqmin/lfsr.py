@@ -8,19 +8,26 @@ One pass over s_1..s_n maintains, division-free:
                degree jump)
   * e       -- the exponent n + 1 - 2*deg(mu), the loop's degree bookkeeping
   * nabla   -- the running product of discrepancies, never zero
-  * bez     -- a coefficient pair with bez . (mu, mu') = nabla
 
 and a per-step log of (discrepancy, exponent before the step, jumped).
 The pair tilde(mu') = (-mu2', mu') satisfies tilde(mu') . (mu, mu2) = nabla,
-so Bezout-style coefficients for the realisation come out of the same pass.
-`mr_scan` lets a caller watch that one pass: it yields the live state after
-every step, which is also where the result is read from at the end.
+and bez = (-mu2', mu2) satisfies bez . (mu, mu') = nabla, so both Bezout
+pairs of the realisation come out of the same pass with no work of their
+own.  `mr_scan` lets a caller watch that one pass: it yields the live state
+after every step, which is also where the result is read from at the end.
 
-Each step costs one discrepancy, the `dot` of mu with the last LC + 1
-terms, and one `add_scaled` update each of mu, mu2 and bez's second entry,
-shared by both branches: `dot` and `add_scaled` (in `seqmin.poly`) are the
-library's two coefficient kernels.  `mr_gf2_scan` is the same recursion on
-bit-packed GF(2) ints; `mr_gf2_bits` and `plcp.plcp_bits` read it.
+Each pair is held factored, as a scalar content times a pair: mu = c * mu^
+and mu' = c' * mu^'.  The values are the paper's division-free ones; only
+the arithmetic is split.  Over the integers nearly all of a coefficient's
+size is a content the whole pair shares, so the engine updates the small
+mu^ and a few scalars; over a field and GF(p)[y] every content is one
+(`Domain.split_content`) and mu is mu^ itself.
+
+Each step costs one discrepancy, the `dot` of mu^ with the last LC + 1
+terms, and one `add_scaled` update each of mu^ and mu2^, shared by both
+branches: `dot` and `add_scaled` (in `seqmin.poly`) are the library's two
+coefficient kernels.  `mr_gf2_scan` is the same recursion on bit-packed
+GF(2) ints; `mr_gf2_bits` and `plcp.plcp_bits` read it.
 """
 
 from __future__ import annotations
@@ -74,23 +81,64 @@ def annihilates(f: Poly, s: SequenceView) -> bool:
 
 @dataclass
 class MRState:
-    """Mutable engine state; one instance per sequence being consumed."""
+    """Mutable engine state; one instance per sequence being consumed.
+
+    `mr_step` updates only the factors of mu = c * mu_hat, mu' = c_prime *
+    mu_hat_prime and delta' = c_prime * delta_hat_prime (the discrepancy
+    of the last jump).  `mu`, `mu_prime` and `delta_prime` are read-only
+    views of those products, formed once per step when first read, and the
+    factor itself while its content is one (always, over a field or
+    GF(p)[y]).  `bez` is the view (-mu2', mu2): both start at (1, 0) and
+    share one update.
+    """
 
     dom: Domain
     j: int = 0
     e: int = 1
-    mu: PairedPoly = None
-    mu_prime: PairedPoly = None
-    delta_prime: object = None
+    c: object = None
+    mu_hat: PairedPoly = None
+    c_prime: object = None
+    mu_hat_prime: PairedPoly = None
+    delta_hat_prime: object = None
     nabla: object = None
-    bez: PairedPoly = None
     steps: list = field(default_factory=list)
     terms: list = field(default_factory=list)
     mults: int = 0
+    _views: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def lc(self) -> int:
-        return self.mu.f.degree()
+        return self.mu_hat.f.degree()
+
+    @property
+    def mu(self) -> PairedPoly:
+        """The realisation (mu, mu2) = c * mu_hat."""
+        return self._view("mu", lambda: _scaled(self.dom, self.c, self.mu_hat))
+
+    @property
+    def mu_prime(self) -> PairedPoly:
+        """The prejump pair (mu', mu2') = c_prime * mu_hat_prime."""
+        return self._view(
+            "mu_prime", lambda: _scaled(self.dom, self.c_prime, self.mu_hat_prime)
+        )
+
+    @property
+    def delta_prime(self):
+        """The discrepancy of the last jump, c_prime * delta_hat_prime."""
+        return self._view(
+            "delta_prime", lambda: _mul(self.dom, self.c_prime, self.delta_hat_prime)
+        )
+
+    @property
+    def bez(self) -> PairedPoly:
+        """(-mu2', mu2), the coefficients with bez . (mu, mu') = nabla."""
+        return PairedPoly(-self.mu_prime.f2, self.mu.f2)
+
+    def _view(self, name, make):
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = make()
+        return view
 
     def result(self) -> MRResult:
         """The realisation, prejump pair and both Bezout pairs held now."""
@@ -111,18 +159,16 @@ def mr_init(dom: Domain, epsilon=None) -> MRState:
     else:
         epsilon = dom.coerce(epsilon)
     st = MRState(dom=dom)
-    st.mu = PairedPoly(Poly.one(dom), Poly.zero(dom))
-    st.mu_prime = PairedPoly(
+    st.c = st.c_prime = st.delta_hat_prime = st.nabla = dom.one
+    st.mu_hat = PairedPoly(Poly.one(dom), Poly.zero(dom))
+    st.mu_hat_prime = PairedPoly(
         Poly.constant(dom, epsilon), Poly.constant(dom, dom.neg(dom.one))
     )
-    st.delta_prime = dom.one
-    st.nabla = dom.one
-    st.bez = PairedPoly(Poly.one(dom), Poly.zero(dom))
     return st
 
 
 def mr_step(st: MRState, s_next) -> MRState:
-    """Consume one term: update mu, mu', bez and nabla in place."""
+    """Consume one term: update the factored mu, mu' and nabla in place."""
     dom = st.dom
     s_next = dom.coerce(s_next)
     st.terms.append(s_next)
@@ -130,37 +176,58 @@ def mr_step(st: MRState, s_next) -> MRState:
     e = st.e
     e_before = e
 
-    # Delta = sum_{k=0}^{LC} mu_k s_{k+(j+e)/2} with LC = (j-e)/2:
-    # mu against the last LC + 1 terms
-    delta = dot(dom, st.mu.f.coeffs, st.terms[(j + e) // 2 - 1:])
+    # Delta = c * delta_hat, delta_hat = sum_{k=0}^{LC} mu_hat_k s_{k+(j+e)/2}
+    # with LC = (j-e)/2: mu_hat against the last LC + 1 terms
+    delta_hat = dot(dom, st.mu_hat.f.coeffs, st.terms[(j + e) // 2 - 1:])
 
+    delta = delta_hat
     jumped = False
-    if not dom.is_zero(delta):
+    if not dom.is_zero(delta_hat):
+        delta = _mul(dom, st.c, delta_hat)
         # one update for both branches: Delta' x^up mu - Delta x^down mu'
-        # with up = max(e, 0) and down = max(-e, 0), and the same for bez
-        dp = st.delta_prime
+        # with up = max(e, 0) and down = max(-e, 0), which is
+        # c c' (delta_hat' x^up mu_hat - delta_hat x^down mu_hat')
         up, down = (e, 0) if e > 0 else (0, -e)
-        mu = pair_add_scaled(dp, up, st.mu, dom.neg(delta), down, st.mu_prime)
-        bez2 = _bez_update(st.bez, dp, up, delta, down)
+        g, mu_hat = _split_pair(dom, pair_add_scaled(
+            st.delta_hat_prime, up, st.mu_hat, dom.neg(delta_hat), down, st.mu_hat_prime))
+        c = _mul(dom, _mul(dom, st.c, st.c_prime), g)
         jumped = e > 0
-        st.bez = PairedPoly(-st.bez.f2 if jumped else st.bez.f, bez2)
         if jumped:
-            st.mu_prime = st.mu
             st.nabla = dom.mul(delta, st.nabla)
-            st.delta_prime = delta
+            st.c_prime, st.mu_hat_prime, st.delta_hat_prime = st.c, st.mu_hat, delta_hat
             e = -e
         else:
-            st.nabla = dom.mul(dp, st.nabla)
-        st.mu = mu
+            st.nabla = dom.mul(st.delta_prime, st.nabla)
+        st.c, st.mu_hat = c, mu_hat
+        st._views.clear()
     st.e = e + 1
     st.j = j
     st.steps.append(StepRecord(delta, e_before, jumped))
     return st
 
 
-def _bez_update(bez: PairedPoly, dp, up: int, delta, down: int) -> Poly:
-    """Delta' x^up bez_2 + Delta x^down bez_1: bez's new second entry."""
-    return add_scaled(dp, up, bez.f2, delta, down, bez.f)
+def _mul(dom: Domain, a, b):
+    """a * b, with no product when a factor is one (as every content is over a field)."""
+    if a == dom.one:
+        return b
+    if b == dom.one:
+        return a
+    return dom.mul(a, b)
+
+
+def _scaled(dom: Domain, c, p: PairedPoly) -> PairedPoly:
+    """c * p; p itself when c is one."""
+    return p if c == dom.one else p.scale(c)
+
+
+def _split_pair(dom: Domain, p: PairedPoly):
+    """(g, p / g), g the content of all of p's coefficients (`Domain.split_content`)."""
+    fs, f2s = p.f.coeffs, p.f2.coeffs
+    g, cs = dom.split_content(fs + f2s)
+    if g == dom.one:
+        return g, p
+    k = len(fs)
+    return g, PairedPoly(Poly(dom, cs[:k], _canonical=True), Poly(dom, cs[k:], _canonical=True))
 
 
 def partial_discrepancy(st: MRState):
@@ -173,7 +240,10 @@ def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
     """Fold the engine over a whole sequence.
 
     With count_mults the pass runs over a copy of the domain whose mul
-    counts its calls, and st.mults is that count: every product of the pass.
+    counts its calls, and st.mults is that count: every product of the pass,
+    the content products included.  Splitting off a content over the
+    integers takes gcds and exact divisions, which are not `dom.mul` calls
+    and are not counted.
     """
     dom = s.dom
     if count_mults:
@@ -205,9 +275,10 @@ def mr_scan(s: SequenceView, epsilon=None):
 
     Yields the same MRState every time, updated in place by the next step,
     so read what a step needs before asking for the next one.  Its Poly and
-    PairedPoly fields are immutable and replaced, never changed, so a st.mu
-    kept at step j still holds step j's value; st.steps[-1] is step j's
-    record (the lists st.steps and st.terms keep growing).
+    PairedPoly values (fields and views) are immutable and replaced, never
+    changed, so a st.mu kept at step j still holds step j's value;
+    st.steps[-1] is step j's record (the lists st.steps and st.terms keep
+    growing).
     """
     st = mr_init(s.dom, epsilon)
     for t in s:
@@ -266,9 +337,11 @@ def next_identity(st_before: MRState, delta):
         raise ValueError("identity requires a positive exponent before the step")
     if dom.is_zero(delta):
         raise ValueError("identity requires a nonzero discrepancy")
-    # mr_step's jump update of bez, which pairs with (mu^(n), mu^(n-1))
-    first = _bez_update(st_before.bez, st_before.delta_prime, e, delta, 0)
-    return PairedPoly(first, -st_before.bez.f2), dom.mul(delta, st_before.nabla)
+    # the jump update Delta' x^e bez_2 + Delta bez_1 of bez = (-mu2', mu2),
+    # which pairs with (mu^(n), mu^(n-1))
+    bez = st_before.bez
+    first = add_scaled(st_before.delta_prime, e, bez.f2, delta, 0, bez.f)
+    return PairedPoly(first, -bez.f2), dom.mul(delta, st_before.nabla)
 
 
 def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:

@@ -1,13 +1,17 @@
 """The integers' identity check: evaluation at D + 1 points, not expansion.
 
-`IntegerRing.inner_is_constant` decides sum f * g = c by evaluating every
-factor at 0, 1, -1, 2, -2, ... (D + 1 points, D the degree bound).  It is
-checked here against `util.verify_pair_identity`, which expands the
+`IntegerRing.inner_is_constant` splits every factor into its content and
+primitive part and decides sum f * g = c by evaluating sum (c_f * c_g) *
+f^(x) * g^(x) at 0, 1, -1, 2, -2, ... (D + 1 points, D the degree bound).
+It is checked here against `util.verify_pair_identity`, which expands the
 products by the schoolbook loop, and against the generic expanding route
 `Domain.inner_is_constant`: on the engine's true identities, on the same
-identities made false by one unit, and on differences built to vanish at
-every point but the last.
+identities made false by one unit, on differences built to vanish at every
+point but the last, on factors with large contents (made false in ways
+that keep those contents) and on factors whose content is 1.
 """
+
+from math import gcd
 
 import pytest
 
@@ -167,6 +171,78 @@ def test_zero_factors_and_constants():
         assert not _checks_agree(a, b, c)
     assert _checks_agree(_pair([3], [2]), _pair([5], [-7]), 1)
     assert _checks_agree(_pair([-(10**40)], [1]), _pair([10**40], [10**80]), 0)
+
+
+def test_large_contents_agree_with_the_reference():
+    """The engine's identities with both factors scaled by large contents.
+
+    They hold; moving one coefficient of a factor by that factor's content
+    keeps every content and breaks the identity unless the partner is
+    zero; and nabla +- a product of contents is rejected.
+    """
+    rng = seeded(614)
+    broken = 0
+    for n in range(6, 19):
+        res = minimal_realisation(SequenceView(Z, [rng.choice(TERMS) for _ in range(n)]))
+        mu_fg = PairedPoly(res.mu.f, res.mu_prime.f)
+        for a, b in ((res.bez_numu, res.mu), (res.bez_fg, mu_fg)):
+            ka, kb = rng.getrandbits(3000) | 1, -(rng.getrandbits(2000) | 1)
+            a, b = a.scale(ka), b.scale(kb)
+            nabla = ka * kb * res.nabla
+            assert _checks_agree(a, b, nabla)
+            polys = [a.f, a.f2, b.f, b.f2]
+            contents = [gcd(*p.coeffs) for p in polys]
+            for k in range(4):
+                if polys[k].is_zero():
+                    continue
+                cs = list(polys[k].coeffs) + [0]
+                cs[rng.randrange(len(cs))] += rng.choice((-1, 1)) * contents[k]
+                moved = list(polys)
+                moved[k] = Poly(Z, cs)
+                assert gcd(*moved[k].coeffs) % contents[k] == 0
+                held = _checks_agree(PairedPoly(*moved[:2]), PairedPoly(*moved[2:]), nabla)
+                assert held == polys[k ^ 2].is_zero()
+                broken += not held
+            for m in (contents[0] * contents[2], contents[1] * contents[3], contents[0]):
+                for c in (nabla + m, nabla - m):
+                    assert not _checks_agree(a, b, c)
+    assert broken > 80
+
+
+def test_content_one_factors_agree_with_the_reference():
+    """15k-bit random coefficients, so every content is 1 and nothing is stripped.
+
+    a = (f, 1) and b = (1, c - f) give f + (c - f) = c.
+    """
+    rng = seeded(615)
+
+    def big():
+        return rng.choice((-1, 1)) * rng.getrandbits(15000)
+
+    for length in (2, 3, 6):
+        f, c = [big() for _ in range(length)], big()
+        assert Z.split_content(f)[0] == 1
+        rest = [-x for x in f]
+        rest[0] += c
+        a, b = _pair(f, [1]), _pair([1], rest)
+        assert _checks_agree(a, b, c)
+        for wrong in (c + 1, c - 1, -c, 0):
+            assert not _checks_agree(a, b, wrong)
+        f[rng.randrange(length)] += 1
+        assert not _checks_agree(_pair(f, [1]), b, c)
+
+
+def test_zero_factor_beside_large_contents():
+    """A zero factor drops its pair; the other pair still carries its contents."""
+    k = 3**2000
+    f, g = [3 * k, -5 * k, k], [7 * k, k]
+    a, b = _pair([], [2 * k]), _pair(f, [-4 * k])
+    assert _checks_agree(a, b, -8 * k * k)
+    assert not _checks_agree(a, b, -8 * k * k + k)
+    assert not _checks_agree(a, b, 0)
+    a, b = _pair(g, [2 * k]), _pair(f, [])
+    assert not _checks_agree(a, b, 0)
+    assert _checks_agree(_pair([], g), _pair(f, []), 0)
 
 
 def test_expected_must_be_an_integer():

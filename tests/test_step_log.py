@@ -12,6 +12,8 @@ from seqmin.poly import PairedPoly
 from seqmin.ring import domain_from_string
 from seqmin.sequence import SequenceView
 
+from util import verify_pair_identity
+
 # ring -> (longest random input, term generator)
 RINGS = {
     "gf2": (40, lambda rng: rng.randrange(2)),
@@ -58,8 +60,9 @@ TERMS = {
 @settings(derandomize=True, deadline=None)
 @given(data=hs.data())
 def test_live_state_at_every_step(ring, data):
-    """One mr_scan pass: at each step both identities hold, LC does not fall,
-    and mu, mu', e are those of a fresh pass over the prefix."""
+    """One mr_scan pass: at each step both identities hold (by the library's
+    check and by the schoolbook reference), LC does not fall, bez is
+    (-mu2', mu2), and mu, mu', e are those of a fresh pass over the prefix."""
     dom = domain_from_string(ring)
     term = TERMS[ring]
     terms = data.draw(hs.lists(term, min_size=1, max_size=RINGS[ring][0]))
@@ -73,6 +76,11 @@ def test_live_state_at_every_step(ring, data):
         assert verify_identity(
             res.bez_fg, PairedPoly(res.mu.f, res.mu_prime.f), res.nabla
         )
+        assert verify_pair_identity(res.bez_numu, res.mu, res.nabla)
+        assert verify_pair_identity(
+            res.bez_fg, PairedPoly(res.mu.f, res.mu_prime.f), res.nabla
+        )
+        assert st.bez == PairedPoly(-st.mu_prime.f2, st.mu.f2)
         assert st.lc >= lc
         lc = st.lc
         ref = run(s.prefix(j), eps)

@@ -1,6 +1,7 @@
 """Shared test helpers: exact identity checks and random generators."""
 
 import random
+from collections import namedtuple
 
 from seqmin.poly import PairedPoly, mul
 from seqmin.ring import GFp, IntegerRing
@@ -25,3 +26,66 @@ def verify_pair_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
 
 def seeded(seed=20260825):
     return random.Random(seed)
+
+
+# the state after one step of `divfree_mr`; polynomials are coefficient tuples
+DivfreeStep = namedtuple(
+    "DivfreeStep", ["delta", "e", "mu", "mu2", "mu_prime", "mu2_prime", "bez", "nabla"]
+)
+
+
+def divfree_mr(dom, terms, eps=None):
+    """The division-free recursion on plain coefficient lists, one DivfreeStep a term.
+
+    The reference for `seqmin.lfsr`: the update Delta' x^up mu - Delta x^down
+    mu' on whole coefficients (no content split off), and bez = (bez_1,
+    bez_2) carried by its own update, bez_2 <- Delta' x^up bez_2 + Delta
+    x^down bez_1, with bez_1 <- -bez_2 at a jump.  Only the domain's scalar
+    operations are shared with the library.
+    """
+    one = dom.one
+
+    def trim(cs):
+        cs = list(cs)
+        while cs and dom.is_zero(cs[-1]):
+            cs.pop()
+        return tuple(cs)
+
+    def update(a, up, f, b, down, g):
+        """a x^up f + b x^down g."""
+        out = [dom.zero] * max(len(f) + up, len(g) + down)
+        for k, c in enumerate(f):
+            out[k + up] = dom.add(out[k + up], dom.mul(a, c))
+        for k, c in enumerate(g):
+            out[k + down] = dom.add(out[k + down], dom.mul(b, c))
+        return trim(out)
+
+    terms = [dom.coerce(t) for t in terms]
+    mu, mu2 = (one,), ()
+    mup, mup2 = trim([dom.zero if eps is None else dom.coerce(eps)]), (dom.neg(one),)
+    bez, bez2 = (one,), ()
+    dp = nabla = one
+    e = 1
+    out = []
+    for j in range(1, len(terms) + 1):
+        window = terms[(j + e) // 2 - 1:j]
+        delta = dom.zero
+        for c, t in zip(mu, window):
+            delta = dom.add(delta, dom.mul(c, t))
+        if not dom.is_zero(delta):
+            up, down = (e, 0) if e > 0 else (0, -e)
+            new = (update(dp, up, mu, dom.neg(delta), down, mup),
+                   update(dp, up, mu2, dom.neg(delta), down, mup2),
+                   update(dp, up, bez2, delta, down, bez))
+            if e > 0:
+                bez = tuple(dom.neg(c) for c in bez2)
+                mup, mup2 = mu, mu2
+                nabla = dom.mul(delta, nabla)
+                dp = delta
+                e = -e
+            else:
+                nabla = dom.mul(dp, nabla)
+            mu, mu2, bez2 = new
+        e += 1
+        out.append(DivfreeStep(delta, e, mu, mu2, mup, mup2, (bez, bez2), nabla))
+    return out
