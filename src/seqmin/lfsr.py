@@ -21,7 +21,9 @@ and mu' = c' * mu^'.  The values are the paper's division-free ones; only
 the arithmetic is split.  Over the integers nearly all of a coefficient's
 size is a content the whole pair shares, so the engine updates the small
 mu^ and a few scalars; over a field and GF(p)[y] every content is one
-(`Domain.split_content`) and mu is mu^ itself.
+(`Domain.split_content`) and mu is mu^ itself.  The discrepancy delta' of
+the last jump is stored as that jump formed it, and each of mu and mu' is
+expanded at most once per value, when first read (`MRState`).
 
 Each step costs one discrepancy, the `dot` of mu^ with the last LC + 1
 terms, and one `add_scaled` update each of mu^ and mu2^, shared by both
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import copy
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .poly import (
     PairedPoly,
@@ -79,32 +80,34 @@ def annihilates(f: Poly, s: SequenceView) -> bool:
                for j in range(d + 1, len(s) + 1))
 
 
-@dataclass
 class MRState:
     """Mutable engine state; one instance per sequence being consumed.
 
-    `mr_step` updates only the factors of mu = c * mu_hat, mu' = c_prime *
-    mu_hat_prime and delta' = c_prime * delta_hat_prime (the discrepancy
-    of the last jump).  `mu`, `mu_prime` and `delta_prime` are read-only
-    views of those products, formed once per step when first read, and the
-    factor itself while its content is one (always, over a field or
-    GF(p)[y]).  `bez` is the view (-mu2', mu2): both start at (1, 0) and
-    share one update.
+    `mr_step` updates the factors of mu = c * mu_hat and mu' = c_prime *
+    mu_hat_prime, and stores delta', the discrepancy of the last jump, when
+    that jump forms it.  `mu` and `mu_prime` are views of the products,
+    formed when first read (the factor itself while its content is one,
+    always over a field or GF(p)[y]) and held in a slot: mu's is cleared
+    whenever mu_hat or c changes; mu''s is cleared only at a jump, where it
+    takes over mu's, since the new mu' is the old mu.  `bez` is the view
+    (-mu2', mu2): both start at (1, 0) and share one update.
     """
 
-    dom: Domain
-    j: int = 0
-    e: int = 1
-    c: object = None
-    mu_hat: PairedPoly = None
-    c_prime: object = None
-    mu_hat_prime: PairedPoly = None
-    delta_hat_prime: object = None
-    nabla: object = None
-    steps: list = field(default_factory=list)
-    terms: list = field(default_factory=list)
-    mults: int = 0
-    _views: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("dom", "j", "e", "c", "mu_hat", "c_prime", "mu_hat_prime",
+                 "delta_hat_prime", "delta_prime", "nabla", "steps", "terms",
+                 "mults", "_mu", "_mu_prime")
+
+    def __init__(self, dom: Domain, epsilon=None):
+        epsilon = dom.zero if epsilon is None else dom.coerce(epsilon)
+        self.dom = dom
+        self.j, self.e, self.mults = 0, 1, 0
+        self.c = self.c_prime = self.delta_hat_prime = self.delta_prime = self.nabla = dom.one
+        self.mu_hat = PairedPoly(Poly.one(dom), Poly.zero(dom))
+        self.mu_hat_prime = PairedPoly(
+            Poly.constant(dom, epsilon), Poly.constant(dom, dom.neg(dom.one))
+        )
+        self.steps, self.terms = [], []
+        self._mu = self._mu_prime = None
 
     @property
     def lc(self) -> int:
@@ -113,32 +116,21 @@ class MRState:
     @property
     def mu(self) -> PairedPoly:
         """The realisation (mu, mu2) = c * mu_hat."""
-        return self._view("mu", lambda: _scaled(self.dom, self.c, self.mu_hat))
+        if self._mu is None:
+            self._mu = _scaled(self.dom, self.c, self.mu_hat)
+        return self._mu
 
     @property
     def mu_prime(self) -> PairedPoly:
         """The prejump pair (mu', mu2') = c_prime * mu_hat_prime."""
-        return self._view(
-            "mu_prime", lambda: _scaled(self.dom, self.c_prime, self.mu_hat_prime)
-        )
-
-    @property
-    def delta_prime(self):
-        """The discrepancy of the last jump, c_prime * delta_hat_prime."""
-        return self._view(
-            "delta_prime", lambda: _mul(self.dom, self.c_prime, self.delta_hat_prime)
-        )
+        if self._mu_prime is None:
+            self._mu_prime = _scaled(self.dom, self.c_prime, self.mu_hat_prime)
+        return self._mu_prime
 
     @property
     def bez(self) -> PairedPoly:
         """(-mu2', mu2), the coefficients with bez . (mu, mu') = nabla."""
         return PairedPoly(-self.mu_prime.f2, self.mu.f2)
-
-    def _view(self, name, make):
-        view = self._views.get(name)
-        if view is None:
-            view = self._views[name] = make()
-        return view
 
     def result(self) -> MRResult:
         """The realisation, prejump pair and both Bezout pairs held now."""
@@ -154,17 +146,7 @@ class MRState:
 
 def mr_init(dom: Domain, epsilon=None) -> MRState:
     """Initial state: mu' = (eps, -1), delta' = 1, e = 1, mu = (1, 0), nabla = 1."""
-    if epsilon is None:
-        epsilon = dom.zero
-    else:
-        epsilon = dom.coerce(epsilon)
-    st = MRState(dom=dom)
-    st.c = st.c_prime = st.delta_hat_prime = st.nabla = dom.one
-    st.mu_hat = PairedPoly(Poly.one(dom), Poly.zero(dom))
-    st.mu_hat_prime = PairedPoly(
-        Poly.constant(dom, epsilon), Poly.constant(dom, dom.neg(dom.one))
-    )
-    return st
+    return MRState(dom, epsilon)
 
 
 def mr_step(st: MRState, s_next) -> MRState:
@@ -194,12 +176,12 @@ def mr_step(st: MRState, s_next) -> MRState:
         jumped = e > 0
         if jumped:
             st.nabla = dom.mul(delta, st.nabla)
-            st.c_prime, st.mu_hat_prime, st.delta_hat_prime = st.c, st.mu_hat, delta_hat
+            st.c_prime, st.mu_hat_prime, st._mu_prime = st.c, st.mu_hat, st._mu
+            st.delta_hat_prime, st.delta_prime = delta_hat, delta
             e = -e
         else:
             st.nabla = dom.mul(st.delta_prime, st.nabla)
-        st.c, st.mu_hat = c, mu_hat
-        st._views.clear()
+        st.c, st.mu_hat, st._mu = c, mu_hat, None
     st.e = e + 1
     st.j = j
     st.steps.append(StepRecord(delta, e_before, jumped))
@@ -369,16 +351,10 @@ def normalize_monic(result: MRResult) -> MRResult:
     if not dom.is_field:
         raise DomainError("monic normalization requires a field")
     c = dom.inv(result.mu.f.lead())
-    mu = result.mu.scale(c)
-    nabla = dom.mul(c, result.nabla)
-    bez_fg = PairedPoly(result.bez_fg.f, result.bez_fg.f2.scale(c))
-    return MRResult(
-        mu=mu,
-        mu_prime=result.mu_prime,
-        bez_numu=result.bez_numu,
-        bez_fg=bez_fg,
-        nabla=nabla,
-        state=result.state,
+    return result._replace(
+        mu=result.mu.scale(c),
+        bez_fg=PairedPoly(result.bez_fg.f, result.bez_fg.f2.scale(c)),
+        nabla=dom.mul(c, result.nabla),
     )
 
 

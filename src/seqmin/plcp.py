@@ -8,7 +8,7 @@ exactly when s_1 = 1 and s_{j+1} = s_j + s_{j/2} for even j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lfsr import (discrepancy, mr_gf2_scan, mr_init, mr_scan, mr_step,
                    partial_discrepancy, read_step_log, run)
@@ -17,12 +17,9 @@ from .ring import DomainError, GF2, GFp
 from .sequence import SequenceView, bits_from_sequence, sequence_from_bits
 
 
-@dataclass(frozen=True)
-class PlcpReport:
-    is_plcp: bool
-    profile: tuple
-    odd_discrepancies: tuple
-    exponent_trace: tuple
+PlcpReport = namedtuple(
+    "PlcpReport", ["is_plcp", "profile", "odd_discrepancies", "exponent_trace"]
+)
 
 
 def is_plcp(s: SequenceView) -> PlcpReport:

@@ -1,5 +1,7 @@
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +275,17 @@ def test_classify_error_without_a_prefix(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: need n = 2*LC exactly (n=3, LC=0); no prefix has n = 2*LC\n"
+
+
+def test_import_does_not_load_dataclasses():
+    """A fresh, isolated interpreter imports seqmin and its CLI without dataclasses.
+
+    On CPython 3.11 `dataclasses` pulls in `inspect`, `ast`, `dis` and
+    `tokenize`, about half the cost of starting the CLI.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import seqmin, seqmin.cli; "
+            "print(seqmin.__file__); print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout.split("\n")
+    assert out[0].startswith(src) and out[1] == "False"

@@ -4,14 +4,15 @@ The engine carries each pair as a content times a pair and reads `bez` off
 the realisation as (-mu2', mu2).  `util.divfree_mr` does neither: it runs
 the recursion on whole coefficient lists and carries `bez` by its own
 update.  At every step of `mr_scan` both must hold the same mu, mu2, mu',
-mu2', bez_fg and nabla, and log the same discrepancy and exponent.
+mu2', bez_fg, nabla and delta', and log the same discrepancy and exponent.
+A pass whose views are read only at the end must agree with the last step.
 """
 
 import random
 
 import pytest
 
-from seqmin.lfsr import mr_scan
+from seqmin.lfsr import mr_scan, run
 from seqmin.ring import domain_from_string
 from seqmin.sequence import SequenceView
 
@@ -26,21 +27,51 @@ RINGS = {
 }
 
 
-@pytest.mark.parametrize("with_epsilon", [False, True])
-@pytest.mark.parametrize("ring", sorted(RINGS))
-def test_engine_matches_the_divfree_reference(ring, with_epsilon):
-    """160 seeded inputs per ring and epsilon setting, a fifth of the terms zero."""
-    dom = domain_from_string(ring)
+def seeded_inputs(ring, with_epsilon):
+    """160 seeded (terms, epsilon) inputs per ring and setting, a fifth of the terms zero."""
     longest, term = RINGS[ring]
     rng = random.Random("divfree/%s/%s" % (ring, with_epsilon))
     for _ in range(160):
         terms = [0 if rng.random() < 0.2 else term(rng) for _ in range(rng.randint(1, longest))]
-        eps = term(rng) if with_epsilon else None
+        yield terms, term(rng) if with_epsilon else None
+
+
+def assert_matches(st, want):
+    assert (st.steps[-1].delta, st.e, st.nabla, st.delta_prime) == (
+        want.delta, want.e, want.nabla, want.delta_prime)
+    res = st.result()
+    assert (res.mu.f.coeffs, res.mu.f2.coeffs) == (want.mu, want.mu2)
+    assert (res.mu_prime.f.coeffs, res.mu_prime.f2.coeffs) == (want.mu_prime, want.mu2_prime)
+    assert (res.bez_fg.f.coeffs, res.bez_fg.f2.coeffs) == want.bez
+
+
+@pytest.mark.parametrize("with_epsilon", [False, True])
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_engine_matches_the_divfree_reference(ring, with_epsilon):
+    """Every step's state, its mu and mu' views read at that step."""
+    dom = domain_from_string(ring)
+    for terms, eps in seeded_inputs(ring, with_epsilon):
         ref = divfree_mr(dom, terms, eps)
         for st, want in zip(mr_scan(SequenceView(dom, terms), eps), ref, strict=True):
-            assert (st.steps[-1].delta, st.e, st.nabla) == (want.delta, want.e, want.nabla)
-            res = st.result()
-            assert (res.mu.f.coeffs, res.mu.f2.coeffs) == (want.mu, want.mu2)
-            assert (res.mu_prime.f.coeffs, res.mu_prime.f2.coeffs) == (
-                want.mu_prime, want.mu2_prime)
-            assert (res.bez_fg.f.coeffs, res.bez_fg.f2.coeffs) == want.bez
+            assert_matches(st, want)
+
+
+@pytest.mark.parametrize("with_epsilon", [False, True])
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_views_read_at_some_steps_or_none(ring, with_epsilon):
+    """A view slot that goes stale, or is not moved at a jump, shows here.
+
+    `run` forms no view before the pass ends; the scan reads the state at a
+    third of its steps, so some slots are filled and others left empty
+    across a jump.
+    """
+    dom = domain_from_string(ring)
+    rng = random.Random("views/%s/%s" % (ring, with_epsilon))
+    for terms, eps in seeded_inputs(ring, with_epsilon):
+        s = SequenceView(dom, terms)
+        ref = divfree_mr(dom, terms, eps)
+        assert_matches(run(s, eps), ref[-1])
+        for st, want in zip(mr_scan(s, eps), ref, strict=True):
+            if rng.random() < 1 / 3:
+                assert_matches(st, want)
+        assert_matches(st, ref[-1])

@@ -30,7 +30,8 @@ def seeded(seed=20260825):
 
 # the state after one step of `divfree_mr`; polynomials are coefficient tuples
 DivfreeStep = namedtuple(
-    "DivfreeStep", ["delta", "e", "mu", "mu2", "mu_prime", "mu2_prime", "bez", "nabla"]
+    "DivfreeStep",
+    ["delta", "e", "mu", "mu2", "mu_prime", "mu2_prime", "bez", "nabla", "delta_prime"],
 )
 
 
@@ -87,5 +88,5 @@ def divfree_mr(dom, terms, eps=None):
                 nabla = dom.mul(dp, nabla)
             mu, mu2, bez2 = new
         e += 1
-        out.append(DivfreeStep(delta, e, mu, mu2, mup, mup2, (bez, bez2), nabla))
+        out.append(DivfreeStep(delta, e, mu, mu2, mup, mup2, (bez, bez2), nabla, dp))
     return out
