@@ -329,10 +329,12 @@ def next_identity(st_before: MRState, delta):
 def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     """True iff a.f*b.f + a.f2*b.f2 equals the constant `expected`, exactly.
 
-    The domain decides (`Domain.inner_is_constant`): GF(2), GF(p) and
-    GF(p)[y] expand both products with their packed `polymul`; the integers
-    evaluate the four factors at deg + 1 points and compare there, which is
-    just as exact.  Every identity check of the library runs through here.
+    The domain decides (`Domain.inner_is_constant`) in one packed
+    evaluation: GF(2), GF(p) and GF(p)[y] form the sum of both products as
+    one packed sum (`ring.inner_mod`); the integers divide out the common
+    content and evaluate the sum once, at a power of two above twice its
+    coefficient bound, which is just as exact.  Every identity check of the
+    library runs through here.
     """
     check_same_domain(a.dom, b.dom)
     dom = a.dom

@@ -107,10 +107,12 @@ class Poly:
         return Poly(self.dom, [self.dom.neg(c) for c in self.coeffs], _canonical=True)
 
     def scale(self, c) -> "Poly":
+        """c * self; c * a is canonical for canonical nonzero c and a."""
         dom = self.dom
+        c = dom.coerce(c)
         if dom.is_zero(c):
             return Poly.zero(dom)
-        return Poly(dom, [dom.mul(c, a) for a in self.coeffs])
+        return Poly(dom, [dom.mul(c, a) for a in self.coeffs], _canonical=True)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -118,12 +120,6 @@ class Poly:
     def monic(self) -> "Poly":
         """Divide by the leading coefficient (fields only)."""
         return self.scale(self.dom.inv(self.lead()))
-
-    def eq_constant(self, c) -> bool:
-        c = self.dom.coerce(c)
-        if self.dom.is_zero(c):
-            return self.is_zero()
-        return self.degree() == 0 and self.coeffs[0] == c
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.dom == other.dom and self.coeffs == other.coeffs

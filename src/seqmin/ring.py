@@ -10,8 +10,10 @@ Each domain also multiplies whole coefficient lists (`Domain.polymul`, what
 `poly.mul` calls).  GF(p) and GF(p)[y] do it with one packed product,
 `mul_mod`; the integers keep the generic schoolbook loop.  And each domain
 decides whether a sum of such products is a given constant
-(`Domain.inner_is_constant`, what `lfsr.verify_identity` calls): GF(p) and
-GF(p)[y] expand the products, the integers evaluate them at enough points.
+(`Domain.inner_is_constant`, what `lfsr.verify_identity` calls) with one
+packed evaluation: GF(p) and GF(p)[y] form the whole sum as one packed sum
+of products, `inner_mod`, and the integers evaluate it once, at a power of
+two above twice its coefficient bound.
 """
 
 from __future__ import annotations
@@ -67,18 +69,20 @@ PACK_CROSSOVER = 25
 # byte, gfp-mr 1.9 and 7.5 ms, ring-growth (GF(3)[y]) 17.2 and 59.7 ms.
 _SLOT_CODES = {array.array(c).itemsize: c for c in "BHILQ"}
 
+# i % p for each byte i (0, 1, ..., p-1 repeated), for every p whose slots
+# can be one byte wide: such a slot must hold (p-1)^2 <= 255, so p < 17.
+# One bytes.translate reduces a whole sum of byte slots in C, where a % p
+# per coefficient runs in the interpreter.
+_BYTE_MOD = {p: bytes(range(p)) * (256 // p) + bytes(range(256 % p)) for p in (2, 3, 5, 7, 11, 13)}
+
 
 def mul_mod(fs, gs, p: int) -> list:
     """The product of two nonempty GF(p) coefficient lists, reduced mod p.
 
     Coefficients are ints in [0, p-1], ascending; the result has all
-    len(fs) + len(gs) - 1 coefficients, not trimmed.  Kronecker substitution
-    (Harvey, JSC 2009): each list packs into one int, one slot per
-    coefficient, each slot wide enough for an unreduced product coefficient
-    -- at most (p-1)^2 * min(len fs, len gs) -- rounded up to whole bytes, so
-    one big-integer multiplication forms every coefficient at once.  Small
-    products (below PACK_CROSSOVER) run a schoolbook loop on ints instead,
-    with one % p per output coefficient.
+    len(fs) + len(gs) - 1 coefficients, not trimmed.  Small products (below
+    PACK_CROSSOVER) run a schoolbook loop on ints, with one % p per output
+    coefficient; larger ones are `inner_mod` of the one pair.
     """
     n = len(fs) + len(gs) - 1
     if (len(fs) - 1) * (len(gs) - 1) < PACK_CROSSOVER:
@@ -88,18 +92,44 @@ def mul_mod(fs, gs, p: int) -> list:
                 for k, d in enumerate(gs, i):
                     out[k] += c * d
         return [c % p for c in out]
-    width = (((p - 1) ** 2 * min(len(fs), len(gs))).bit_length() + 7) // 8
+    return inner_mod(((fs, gs),), p, n)
+
+
+def inner_mod(pairs, p: int, n: int) -> list:
+    """The sum of f * g over the (fs, gs) in pairs, as n coefficients reduced mod p.
+
+    Every fs and gs is a nonempty GF(p) coefficient list (ints in [0, p-1],
+    ascending), and n is at least the largest len(fs) + len(gs) - 1; the
+    result is not trimmed.  Kronecker substitution (Harvey, JSC 2009): each
+    factor packs into one int, one slot per coefficient, each slot wide
+    enough for a coefficient of the unreduced sum -- at most (p-1)^2 times
+    the sum of min(len fs, len gs) over the pairs -- rounded up to whole
+    bytes.  One big-integer product per pair forms every coefficient of
+    that pair at once, the products are added as ints, and the sum is
+    unpacked and reduced once.
+    """
+    bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
+    width = (bound.bit_length() + 7) // 8
     size = next((s for s in _SLOT_CODES if s >= width), None)
-    if size is not None:
-        # slots that are C integers: pack and unpack them as arrays
-        code, order = _SLOT_CODES[size], sys.byteorder
-        a = int.from_bytes(array.array(code, fs).tobytes(), order)
-        b = int.from_bytes(array.array(code, gs).tobytes(), order)
-        return [c % p for c in array.array(code, (a * b).to_bytes(size * n, order))]
-    a = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in fs), "little")
-    b = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in gs), "little")
-    v = (a * b).to_bytes(width * n, "little")
-    return [int.from_bytes(v[k:k + width], "little") % p for k in range(0, width * n, width)]
+    if size is None:
+        total = sum(_pack_wide(fs, width) * _pack_wide(gs, width) for fs, gs in pairs)
+        v = total.to_bytes(width * n, "little")
+        return [int.from_bytes(v[k:k + width], "little") % p for k in range(0, width * n, width)]
+    # slots that are C integers: pack and unpack them as arrays
+    code, order = _SLOT_CODES[size], sys.byteorder
+    total = 0
+    for fs, gs in pairs:
+        total += (int.from_bytes(array.array(code, fs).tobytes(), order)
+                  * int.from_bytes(array.array(code, gs).tobytes(), order))
+    v = total.to_bytes(size * n, order)
+    if size == 1:
+        return list(v.translate(_BYTE_MOD[p]))
+    return [c % p for c in array.array(code, v)]
+
+
+def _pack_wide(cs, width: int) -> int:
+    """cs packed into one int, width bytes per slot: the byte-by-byte path."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
 
 
 class Domain:
@@ -147,8 +177,9 @@ class Domain:
         fs and gs are canonical coefficient lists (ascending, empty for
         zero) and c is canonical.  The generic route expands: one `polymul`
         per pair of nonzero factors, the products added coefficient by
-        coefficient, the trimmed sum compared with c.  GF(p) and GF(p)[y]
-        use it with their packed `polymul`.
+        coefficient, the trimmed sum compared with c.  Every domain of this
+        module overrides it with one packed evaluation; this route is the
+        reference the tests compare those with.
         """
         products = [self.polymul(fs, gs) for fs, gs in pairs if fs and gs]
         total = [reduce(self.add, col) for col in zip_longest(*products, fillvalue=self.zero)]
@@ -238,6 +269,20 @@ class GFp(Domain):
         """One packed product, `mul_mod`; canonical, as lead(f) * lead(g) != 0."""
         return mul_mod(fs, gs, self.p)
 
+    def inner_is_constant(self, pairs, c) -> bool:
+        """Whether sum f * g equals c, from one packed sum (`inner_mod`).
+
+        Every pair of nonzero factors goes into one `inner_mod`, which adds
+        the unreduced products as ints and reduces each coefficient of the
+        sum once; the sum is c when its constant term is c and every other
+        coefficient is zero.
+        """
+        pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
+        if not pairs:
+            return c == 0
+        total = inner_mod(pairs, self.p, max(len(fs) + len(gs) for fs, gs in pairs) - 1)
+        return total[0] == c and not any(total[1:])
+
     def pow(self, a, k):
         if k < 0:
             raise DomainError("negative exponent")
@@ -309,27 +354,25 @@ class IntegerRing(Domain):
         return g, [c // g for c in cs]
 
     def inner_is_constant(self, pairs, c) -> bool:
-        """Whether sum f * g equals c, decided at D + 1 points without expanding.
-
-        D is the largest len(fs) + len(gs) - 2 over the pairs of nonzero
-        factors, so sum f * g - c is a polynomial of degree at most D.  A
-        nonzero one has at most D roots in an integral domain, so it is zero
-        exactly when it vanishes at the D + 1 distinct integers 0, 1, -1, 2,
-        -2, ...: the check is exact and deterministic.
+        """Whether sum f * g equals c, decided at one point 2^k without expanding.
 
         Each factor is split first into its content and primitive part
-        (`split_content`), f = c_f * f^ and g = c_g * g^, and the sum is
-        evaluated as sum (c_f * c_g) * f^(x) * g^(x): the same polynomial,
-        so the same verdict.  The engine's realisations carry nearly all
-        of their size in the content, so each point costs one Horner pass
-        per small primitive factor and one big-by-small product per pair,
-        where evaluating the factors whole costs one big-by-big product per
-        pair.  Both identities of 60 ring-growth-style inputs (n = 10..21,
-        terms +-3..+-5) take 0.03-0.04 s this way and 0.16 s with whole factors
-        (CPython 3.11, 2-CPU Xeon VM).  A factor whose content is 1 costs
-        the gcds that find it: a false identity of six 15k-bit coefficients
-        is rejected in 0.7-1.1 ms, where whole factors reject it at the
-        first point in 0.02 ms.
+        (`split_content`), f = c_f * f^ and g = c_g * g^, so the sum is
+        sum m * f^ * g^ with m = c_f * c_g.  M, the gcd of the m, divides
+        the sum, so it must divide c, and the rest of the check runs on
+        sum (m / M) * f^ * g^ against c / M: the engine's identities carry
+        nearly all of their size in a content they share, and this strips
+        it in one division.  A screen at x = 1 (sums of coefficients, O(len)
+        additions) rejects most false identities at once.
+
+        Then the difference d = sum (m / M) * f^ * g^ - c / M is evaluated
+        once, at X = 2^k: B = |c / M| + sum |m / M| * min(len f^, len g^) *
+        max |f^| * max |g^| bounds its coefficients, and 2^k > 2B.  A
+        nonzero integer polynomial whose coefficients all lie below X / 2
+        in absolute value cannot vanish at X (its lowest nonzero term is
+        not divisible by X), so the check is exact and deterministic.  Each
+        factor packs into one int with k-bit slots (`_at_power`), and each
+        pair costs two big-integer products.
         """
         split = []
         for fs, gs in pairs:
@@ -339,12 +382,19 @@ class IntegerRing(Domain):
                 split.append((cf * cg, fs, gs))
         if not split:
             return c == 0
-        points = max(len(fs) + len(gs) for _, fs, gs in split) - 1
-        for k in range(points):
-            x = (k + 1) // 2 if k % 2 else -(k // 2)
-            if sum(m * (_horner(fs, x) * _horner(gs, x)) for m, fs, gs in split) != c:
-                return False
-        return True
+        M = gcd(*(m for m, _, _ in split))
+        c, r = divmod(c, M)
+        if r:
+            return False
+        split = [(m // M, fs, gs) for m, fs, gs in split]
+        if sum(m * sum(fs) * sum(gs) for m, fs, gs in split) != c:
+            return False
+        bits = max(c.bit_length(), max(
+            m.bit_length() + max(map(int.bit_length, fs)) + max(map(int.bit_length, gs))
+            + min(len(fs), len(gs)).bit_length() for m, fs, gs in split))
+        # B < (len(split) + 1) * 2^bits, and 2^(8 * width) > 2B
+        width = (bits + (len(split) + 1).bit_length() + 8) // 8
+        return sum(m * _at_power(fs, width) * _at_power(gs, width) for m, fs, gs in split) == c
 
     def coerce(self, x):
         if not isinstance(x, int):
@@ -361,12 +411,12 @@ class IntegerRing(Domain):
         return "int"
 
 
-def _horner(cs, x: int) -> int:
-    """The integer polynomial with coefficients cs (ascending) at x."""
-    v = 0
-    for c in reversed(cs):
-        v = v * x + c
-    return v
+def _at_power(cs, width: int) -> int:
+    """The integer polynomial cs (ascending) at x = 2^(8 * width); every |c| < x."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in cs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in cs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class GFpPolyRing(Domain):
@@ -396,12 +446,14 @@ class GFpPolyRing(Domain):
         return tuple(cs[:i])
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
+        """Coefficientwise; only a sum of equal lengths can need a trim."""
+        if len(a) < len(b):
+            a, b = b, a
+        p = self.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+        if len(a) > len(b):
+            out += a[len(b):]
+            return tuple(out)
         return self._trim(out)
 
     def sub(self, a, b):
@@ -431,6 +483,26 @@ class GFpPolyRing(Domain):
         D = max(map(len, fs)) + max(map(len, gs)) - 1
         out = mul_mod(self._flatten(fs, D), self._flatten(gs, D), self.p)
         return [self._trim(out[k:k + D]) for k in range(0, (len(fs) + len(gs) - 1) * D, D)]
+
+    def inner_is_constant(self, pairs, c) -> bool:
+        """Whether sum f * g equals c, from one packed sum over GF(p).
+
+        Every factor is flattened with x = y^D, as in `polymul`, and one
+        `inner_mod` forms the flattened sum.  D is above every product's
+        y-degree, so no two y-coefficients share a slot, and at least len(c),
+        so that c, read as a GF(p) list, lies in the x^0 chunk alone: the
+        sum is c exactly when the flattened sum is c followed by zeros.  (With
+        D below len(c), c's upper y-coefficients would be compared with the
+        x^1 chunk, and 1 + x would pass for 1 + y.)
+        """
+        pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
+        if not pairs:
+            return not c
+        D = max(len(c), max(max(map(len, fs)) + max(map(len, gs)) - 1 for fs, gs in pairs))
+        flat = [(self._flatten(fs, D), self._flatten(gs, D)) for fs, gs in pairs]
+        total = inner_mod(flat, self.p, max(len(f) + len(g) for f, g in flat) - 1)
+        k = len(c)
+        return total[:k] == list(c) and not any(total[k:])
 
     @staticmethod
     def _flatten(cs, D):

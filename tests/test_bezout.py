@@ -145,7 +145,7 @@ def test_lrs_identity_fibonacci():
     assert res.mu.f.monic() == parse_poly(dom, "4,4,1")  # x^2 - x - 1
     assert res.stable
     total = mul(res.f.f, res.mu.f) + mul(res.f.f2, res.mu.f2)
-    assert total.eq_constant(res.nabla)
+    assert total == Poly.constant(dom, res.nabla)
 
 
 def test_lrs_identity_all_zero():

@@ -1,14 +1,19 @@
-"""The integers' identity check: evaluation at D + 1 points, not expansion.
+"""The integers' identity check: one evaluation at a power of two, not expansion.
 
 `IntegerRing.inner_is_constant` splits every factor into its content and
-primitive part and decides sum f * g = c by evaluating sum (c_f * c_g) *
-f^(x) * g^(x) at 0, 1, -1, 2, -2, ... (D + 1 points, D the degree bound).
-It is checked here against `util.verify_pair_identity`, which expands the
-products by the schoolbook loop, and against the generic expanding route
+primitive part, divides out M, the gcd of the pairs' c_f * c_g (M must
+divide c), screens at x = 1, and then decides sum f * g = c by evaluating
+sum (c_f * c_g / M) * f^(x) * g^(x) - c / M once, at X = 2^k with 2^k
+above twice the bound B on that difference's coefficients.  It is checked
+here against `util.verify_pair_identity`, which expands the products by
+the schoolbook loop, and against the generic expanding route
 `Domain.inner_is_constant`: on the engine's true identities, on the same
-identities made false by one unit, on differences built to vanish at every
-point but the last, on factors with large contents (made false in ways
-that keep those contents) and on factors whose content is 1.
+identities made false by one unit, on differences built to vanish at many
+small integers (the first D points of the check this one replaced), at
+x = 1 and at a power of two, or with a coefficient at exactly +-B, on a
+common content that does not divide c, on pairs that cancel, on factors
+with large contents (made false in ways that keep those contents) and on
+factors whose content is 1.
 """
 
 from math import gcd
@@ -17,7 +22,7 @@ import pytest
 
 from seqmin.annihilator import extend_by_jump, mr_bullet_family
 from seqmin.lfsr import minimal_realisation, run, verify_identity
-from seqmin.poly import PairedPoly, Poly
+from seqmin.poly import PairedPoly, Poly, mul
 from seqmin.ring import Domain, DomainError, IntegerRing
 from seqmin.sequence import SequenceView
 
@@ -249,3 +254,132 @@ def test_expected_must_be_an_integer():
     a = _pair([1], [0])
     with pytest.raises(DomainError):
         verify_identity(a, a, "1")
+
+
+def _value_at_one(a, b, c):
+    """sum f * g - c at x = 1, from the sums of the coefficients."""
+    return sum(a.f.coeffs) * sum(b.f.coeffs) + sum(a.f2.coeffs) * sum(b.f2.coeffs) - c
+
+
+def test_common_content_must_divide_c():
+    """M = gcd of the pairs' c_f * c_g divides sum f * g, so a c it does not
+    divide is rejected, and so is a multiple of M that is not the sum."""
+    rng = seeded(616)
+    for n in range(4, 16):
+        res = minimal_realisation(SequenceView(Z, [rng.choice(TERMS) for _ in range(n)]))
+        ka, kb = 6 * rng.randint(1, 10**6), 10 * rng.randint(1, 10**6)
+        a, b = res.bez_numu.scale(ka), res.mu.scale(kb)
+        nabla, m = ka * kb * res.nabla, ka * kb  # m divides M
+        assert _checks_agree(a, b, nabla)
+        for k in (1, 2, 3, 5, 7, 30, m - 1, m, -m, 2 * m):
+            assert not _checks_agree(a, b, nabla + k)
+    # (2 + 4x)(3 - 3x) = 6 + 6x - 12x^2, M = 6
+    a, b = _pair([2, 4], [0]), _pair([3, -3], [0])
+    for c in (7, 1, 0, 6, -6):
+        assert not _checks_agree(a, b, c)
+    # (6 + 6x) 2 + 4 (-3 - 3x) = 0, M = gcd(12, 12)
+    a, b = _pair([6, 6], [4]), _pair([2], [-3, -3])
+    assert _checks_agree(a, b, 0)
+    for c in (12, 5, -1):
+        assert not _checks_agree(a, b, c)
+
+
+def test_difference_at_exactly_plus_minus_B():
+    """A false identity whose difference has a coefficient at exactly +-B.
+
+    f = M K (1, -1, ..., -1) with r entries -1, g = (K) and
+    c = -M K^2 (r - 1).  Once the common content M K^2 is divided out, the
+    difference is r - x - ... - x^r: its constant term is exactly
+    B = |c / (M K^2)| + 1 = r, and it is 0 at x = 1, so the screen passes
+    and the one evaluation must reject it.  The signs flipped give -B.
+    """
+    for K in (1, 2, 3, 255, 256, 2**31 - 1, 3**50):
+        for r in (1, 2, 3, 7, 40):
+            for sign in (1, -1):
+                for M in (1, 15):
+                    f = [sign * M * K] + [-sign * M * K] * r
+                    c = -sign * M * K * K * (r - 1)
+                    a, b = _pair(f, [0]), _pair([K], [0])
+                    assert _value_at_one(a, b, c) == 0
+                    assert not _checks_agree(a, b, c)
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 63, 64, 65, 200])
+def test_difference_vanishing_at_one_and_at_a_power_of_two(t):
+    """d = (x - 1)(x - 2^t) passes the screen at x = 1 and vanishes at 2^t.
+
+    With c = 0 the coefficient bound B is 2^t + 1, so a point 2^k chosen
+    only above B / 2 could be 2^t itself and accept it.  A nonzero c moves
+    part of the constant term from f into c; scale 7 adds a content.
+    """
+    d = [2**t, -(2**t + 1), 1]
+    for c in (0, 2**t, -(3**t)):
+        f = [d[0] + c] + d[1:]
+        for scale in (1, 7):
+            a, b = _pair([scale * x for x in f], [0]), _pair([1], [0])
+            assert _value_at_one(a, b, scale * c) == 0
+            assert not _checks_agree(a, b, scale * c)
+            # the same difference split across two pairs
+            a, b = _pair([scale * x for x in f[:2]], [scale]), _pair([1], [0, 0, 1])
+            assert _value_at_one(a, b, scale * c) == 0
+            assert not _checks_agree(a, b, scale * c)
+
+
+def test_pairs_cancelling_to_zero():
+    """f * g + (-f) * g and f * g + g * (-f): the sum is 0, so c = 0 holds only."""
+    rng = seeded(617)
+    for _ in range(60):
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))] + [rng.choice(TERMS)]
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))] + [rng.choice(TERMS)]
+        k = rng.choice((1, 3, 2**64 + 1, 5**40))
+        f, g = [k * x for x in f], [rng.choice((1, k)) * x for x in g]
+        minus = [-x for x in f]
+        for a, b in ((_pair(f, minus), _pair(g, g)), (_pair(f, g), _pair(g, minus))):
+            assert _checks_agree(a, b, 0)
+            for c in (1, -1, k, k * k):
+                assert not _checks_agree(a, b, c)
+
+
+def test_false_identities_that_pass_the_screen():
+    """The engine's identities with a.f moved by (x - 1) x^i: false, yet 0 at x = 1."""
+    rng = seeded(618)
+    for n in range(2, 26):
+        res = minimal_realisation(SequenceView(Z, [rng.choice(TERMS) for _ in range(n)]))
+        mu_fg = PairedPoly(res.mu.f, res.mu_prime.f)
+        for a, b in ((res.bez_numu, res.mu), (res.bez_fg, mu_fg)):
+            i = rng.randrange(len(a.f.coeffs) + 1)
+            k = rng.choice((1, -1, gcd(*a.f.coeffs) if a.f.coeffs else 1))
+            moved = PairedPoly(a.f + Poly(Z, [0] * i + [-k, k]), a.f2)
+            assert _value_at_one(moved, b, res.nabla) == 0
+            assert not verify_identity(moved, b, res.nabla)
+            if n <= 18:
+                assert not _checks_agree(moved, b, res.nabla)
+
+
+def test_content_one_factors_with_15k_bit_coefficients():
+    """Content-1 factors, 15k-bit coefficients: nothing to divide out.
+
+    a = (f, g) and b = (g, -f) give f g - g f = 0 (the one evaluation runs
+    with full-size slots); the same with one coefficient of f moved by one,
+    false at x = 1, and moved by (x - 1) x^i, false yet 0 at x = 1.
+    """
+    rng, length = seeded(619), 12
+
+    def big():
+        return rng.choice((-1, 1)) * rng.getrandbits(15000)
+
+    f, g = [big() for _ in range(length)], [big() for _ in range(length)]
+    assert Z.split_content(f)[0] == Z.split_content(g)[0] == 1
+    minus_f = [-x for x in f]
+    a, b = _pair(f, g), _pair(g, minus_f)
+    assert _checks_agree(a, b, 0)
+    assert not _checks_agree(a, b, 1)
+    moved = list(f)
+    moved[rng.randrange(length)] += 1
+    assert not _checks_agree(_pair(moved, g), b, 0)
+    i = rng.randrange(length - 1)
+    moved = list(f)
+    moved[i] -= 1
+    moved[i + 1] += 1
+    assert _value_at_one(_pair(moved, g), b, 0) == 0
+    assert not _checks_agree(_pair(moved, g), b, 0)

@@ -1,18 +1,26 @@
-"""Packed (Kronecker) products against two independent references.
+"""Packed (Kronecker) products and identity checks against independent references.
 
 `poly.mul` over GF(2), GF(p) and GF(p)[y], and `GFpPolyRing.mul`, go
 through `ring.mul_mod`.  Each product here is compared with sympy's
 `Poly(..., modulus=p)` and with the generic schoolbook loop
 `Domain.polymul`, over a seeded sweep of lengths on both sides of the
 crossover, with zero coefficients, all-(p-1) factors (the fullest slots)
-and sums whose leading terms cancel mod p.
+and sums whose leading terms cancel mod p.  Sums of products, `inner_mod`,
+are checked in one-byte slots (reduced by a translate table) for every
+prime that has them.  The packed identity checks of GFp and GFpPolyRing
+(`inner_is_constant`, one `inner_mod` each) are compared with the generic
+expanding `Domain.inner_is_constant` and with `util.verify_pair_identity`
+on true identities, on the same identities with one coefficient moved by
+one and with the constant moved by one.
 """
 
 import pytest
 import sympy
 
+from seqmin.lfsr import minimal_realisation, verify_identity
 from seqmin.poly import PairedPoly, Poly, mul
-from seqmin.ring import GF2, Domain, GFp, GFpPolyRing, mul_mod
+from seqmin.ring import GF2, Domain, GFp, GFpPolyRing, inner_mod, mul_mod
+from seqmin.sequence import SequenceView
 
 from util import seeded, verify_pair_identity
 
@@ -152,3 +160,126 @@ def test_identity_checker_past_the_old_slot_widths():
     a, b = PairedPoly(f, Poly.one(F7)), PairedPoly(f, Poly.one(F7) - mul(f, f))
     assert verify_pair_identity(a, b, 1)
     assert not verify_pair_identity(a, b, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_inner_mod_in_byte_slots_and_just_past_them(p):
+    """Sums of two products with the fullest one-byte slots, and one slot wider.
+
+    A slot is one byte while (p - 1)^2 * (sum of min(len f, len g)) <= 255;
+    `top` is the largest such sum, so the all-(p - 1) factors below fill a
+    byte slot to within (p - 1)^2 of 255, and `top + 1` needs two bytes.
+    """
+    dom, rng = GFp(p), seeded(105)
+    top = 255 // (p - 1) ** 2
+    for total in (top, top + 1):
+        a = rng.randint(1, max(1, total - 1))
+        shapes = [(a, a + rng.randrange(4)), (total - a + rng.randrange(4), total - a)][:1 + (total > a)]
+        for fill in ("top", "random"):
+            pairs = []
+            for la, lb in shapes:
+                if fill == "top":
+                    pairs.append(([p - 1] * la, [p - 1] * lb))
+                else:
+                    pairs.append((_random_coeffs(rng, p, la, 0.2), _random_coeffs(rng, p, lb, 0.2)))
+            n = max(len(f) + len(g) for f, g in pairs) + rng.randrange(3) - 1
+            want = [0] * n
+            for f, g in pairs:
+                for k, c in enumerate(Domain.polymul(dom, f, g)):
+                    want[k] = (want[k] + c) % p
+            assert inner_mod(pairs, p, n) == want, (total, fill)
+            for f, g in pairs:
+                assert inner_mod([(f, g)], p, len(f) + len(g) - 1) == _sympy_mul(f, g, p)
+
+
+def test_gfp_poly_check_rejects_a_constant_longer_than_D():
+    """f * g = 1 + x, the constant is 1 + y: false, though both read [1, 1].
+
+    The products alone ask for D = 1, where the x^1 chunk of the flattened
+    sum holds y^1's slot; D must be at least len(c).
+    """
+    R = GFpPolyRing(3)
+    pairs = [(((1,), (1,)), ((1,),))]
+    assert not R.inner_is_constant(pairs, (1, 1))
+    assert not Domain.inner_is_constant(R, pairs, (1, 1))
+    assert not R.inner_is_constant(pairs, (1,))
+    one_plus_y = [(((1,),), ((1, 1),))]
+    assert R.inner_is_constant(one_plus_y, (1, 1))
+    assert not R.inner_is_constant(one_plus_y, (1, 1, 1))
+    # c longer than every product, with a zero x^1 chunk beside it
+    assert not R.inner_is_constant([(((1,), (), (1,)), ((1,),))], (1, 0, 1))
+    assert R.inner_is_constant([(((1, 0, 1),), ((1,),))], (1, 0, 1))
+    assert R.inner_is_constant([(((1,),), ((1,),)), (((2,),), ((1,),))], ())
+
+
+PACKED_CHECK_DOMAINS = {
+    "gf2": (GF2(), 40, lambda rng: rng.randrange(2)),
+    "gfp:7": (GFp(7), 30, lambda rng: rng.randrange(7)),
+    "gfp:2147483647": (GFp(2**31 - 1), 20, lambda rng: rng.randrange(2**31 - 1)),
+    "gfp_poly:3": (GFpPolyRing(3), 10,
+                   lambda rng: tuple(rng.randrange(3) for _ in range(rng.randint(0, 2)))),
+}
+
+
+def _check_agrees(dom, a, b, c):
+    """The packed check, the generic expansion and the reference agree; the verdict."""
+    want = verify_pair_identity(a, b, c)
+    pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
+    assert dom.inner_is_constant(pairs, c) == want
+    assert Domain.inner_is_constant(dom, pairs, c) == want
+    assert verify_identity(a, b, c) == want
+    return want
+
+
+def _moved_by_one(dom, p: Poly, rng):
+    """p with one coefficient (anywhere up to one past the lead) plus one."""
+    cs = list(p.coeffs) + [dom.zero]
+    k = rng.randrange(len(cs))
+    cs[k] = dom.add(cs[k], dom.one)
+    return Poly(dom, cs)
+
+
+def _long_identity(dom, draw, rng, la, lb, c):
+    """(f, 1) . (g, c - f g) = c, with f, g of lengths la, lb."""
+    f = Poly(dom, [draw(rng) for _ in range(la - 1)] + [dom.one])
+    g = Poly(dom, [draw(rng) for _ in range(lb - 1)] + [dom.one])
+    return PairedPoly(f, Poly.one(dom)), PairedPoly(g, Poly.constant(dom, c) - mul(f, g)), c
+
+
+@pytest.mark.parametrize("ring", sorted(PACKED_CHECK_DOMAINS))
+def test_packed_checks_agree_with_the_generic_route_and_the_reference(ring):
+    """The engine's identities and long synthetic ones, true and moved by one.
+
+    Moving a coefficient of a factor by one moves the sum by x^k times the
+    factor's partner, so the moved identity is false unless the partner is
+    zero; moving the constant by one makes it false.  The synthetic
+    identities reach slots of two bytes over GF(2) and GF(7); GF(2^31 - 1)
+    always needs more than eight, the byte-by-byte path.
+    """
+    dom, nmax, draw = PACKED_CHECK_DOMAINS[ring]
+    rng = seeded(106)
+    cases = []
+    for n in range(1, nmax + 1):
+        res = minimal_realisation(SequenceView(dom, [draw(rng) for _ in range(n)]))
+        mu_fg = PairedPoly(res.mu.f, res.mu_prime.f)
+        cases += [(res.bez_numu, res.mu, res.nabla), (res.bez_fg, mu_fg, res.nabla)]
+    for la, lb in [(1, 1), (3, 40), (70, 90), (200, 300)]:
+        if isinstance(dom, GFpPolyRing):
+            if lb <= 40:
+                cases.append(_long_identity(dom, draw, rng, la, lb, (1, 2, 1)))
+        else:
+            cases.append(_long_identity(dom, draw, rng, la, lb, rng.randrange(1, dom.p)))
+    held = moved = 0
+    for a, b, c in cases:
+        assert _check_agrees(dom, a, b, c)
+        assert not _check_agrees(dom, a, b, dom.add(c, dom.one))
+        polys = [a.f, a.f2, b.f, b.f2]
+        for k in range(4):
+            changed = list(polys)
+            changed[k] = _moved_by_one(dom, polys[k], rng)
+            verdict = _check_agrees(dom, PairedPoly(*changed[:2]), PairedPoly(*changed[2:]), c)
+            # a.f pairs with b.f, a.f2 with b.f2
+            assert verdict == polys[k ^ 2].is_zero()
+            held += verdict
+            moved += 1
+    assert held < moved // 2

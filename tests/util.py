@@ -3,7 +3,7 @@
 import random
 from collections import namedtuple
 
-from seqmin.poly import PairedPoly, mul
+from seqmin.poly import PairedPoly, Poly, mul
 from seqmin.ring import GFp, IntegerRing
 from seqmin.sequence import SequenceView
 
@@ -21,7 +21,7 @@ def random_sequence(dom, n, rng, int_bound=5):
 def verify_pair_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     """Exact check a.f*b.f + a.f2*b.f2 == constant expected."""
     total = mul(a.f, b.f) + mul(a.f2, b.f2)
-    return total.eq_constant(expected)
+    return total == Poly.constant(a.dom, expected)
 
 
 def seeded(seed=20260825):
