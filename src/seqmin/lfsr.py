@@ -27,9 +27,13 @@ expanded at most once per value, when first read (`MRState`).
 
 Each step costs one discrepancy, the `dot` of mu^ with the last LC + 1
 terms, and one `add_scaled` update each of mu^ and mu2^, shared by both
-branches: `dot` and `add_scaled` (in `seqmin.poly`) are the library's two
-coefficient kernels.  `mr_gf2_scan` is the same recursion on bit-packed
-GF(2) ints; `mr_gf2_bits` and `plcp.plcp_bits` read it.
+branches.  `poly.dot` and `poly.add_scaled` call the domain's two
+coefficient kernels, `Domain.dot` and `Domain.axpy`: the generic loops
+over GF(2), GF(p) and the integers, one packed sum each over GF(p)[y].
+Over the integers every view records its content (`poly.ScaledPoly`), so
+`verify_identity` takes c * c' from the records instead of re-deriving it
+by gcd.  `mr_gf2_scan` is the same recursion on bit-packed GF(2) ints;
+`mr_gf2_bits` and `plcp.plcp_bits` read it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from collections import namedtuple
 from .poly import (
     PairedPoly,
     Poly,
+    ScaledPoly,
     add_scaled,
     dot,
     pair_add_scaled,
@@ -198,8 +203,8 @@ def _mul(dom: Domain, a, b):
 
 
 def _scaled(dom: Domain, c, p: PairedPoly) -> PairedPoly:
-    """c * p; p itself when c is one."""
-    return p if c == dom.one else p.scale(c)
+    """c * p, each component recording (c, its factor); p itself when c is one."""
+    return p if c == dom.one else PairedPoly(ScaledPoly(c, p.f), ScaledPoly(c, p.f2))
 
 
 def _split_pair(dom: Domain, p: PairedPoly):
@@ -225,7 +230,9 @@ def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
     counts its calls, and st.mults is that count: every product of the pass,
     the content products included.  Splitting off a content over the
     integers takes gcds and exact divisions, which are not `dom.mul` calls
-    and are not counted.
+    and are not counted.  Over GF(p)[y] the discrepancies and updates are
+    packed sums (`GFpPolyRing.dot`, `GFpPolyRing.axpy`), not `mul` calls,
+    so there the count is the nabla products alone.
     """
     dom = s.dom
     if count_mults:
@@ -335,11 +342,39 @@ def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     content and evaluate the sum once, at a power of two above twice its
     coefficient bound, which is just as exact.  Every identity check of the
     library runs through here.
+
+    When every factor records its content (the engine's views over the
+    integers, `poly.ScaledPoly`) and both products have the same two
+    contents {c, c'}, the sum is c * c' times the same sum over the
+    recorded factors: `expected` must be divisible by c * c', and the
+    quotient is checked on the small factors alone.
     """
     check_same_domain(a.dom, b.dom)
     dom = a.dom
+    expected = dom.coerce(expected)
+    recorded = _recorded_contents(a, b)
+    if recorded is not None:
+        m, pairs = recorded
+        q, r = divmod(expected, m)
+        return not r and dom.inner_is_constant(pairs, q)
     pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
-    return dom.inner_is_constant(pairs, dom.coerce(expected))
+    return dom.inner_is_constant(pairs, expected)
+
+
+def _recorded_contents(a: PairedPoly, b: PairedPoly):
+    """(c * c', the bases' coefficient pairs) when both products have contents {c, c'}.
+
+    Every factor must be a `ScaledPoly`; contents other than one arise over
+    the integers alone.  None otherwise.
+    """
+    try:
+        (c1, f1), (d1, g1) = a.f.content, b.f.content
+        (c2, f2), (d2, g2) = a.f2.content, b.f2.content
+    except AttributeError:
+        return None
+    if not ((c1 == c2 and d1 == d2) or (c1 == d2 and d1 == c2)):
+        return None
+    return c1 * d1, ((f1.coeffs, g1.coeffs), (f2.coeffs, g2.coeffs))
 
 
 def normalize_monic(result: MRResult) -> MRResult:

@@ -1,8 +1,11 @@
 """Dense univariate polynomials over a domain, ascending coefficients.
 
-The library's two coefficient kernels live here: `dot` (a sum of
-coefficient-times-term products, such as a discrepancy) and `add_scaled`
-(a * x^e * f + b * x^e2 * g, the engine's update).  Also provides the
+The library's two coefficient kernels are called through here: `dot` (a
+sum of coefficient-times-term products, such as a discrepancy) and
+`add_scaled` (a * x^e * f + b * x^e2 * g, the engine's update).  Each
+domain supplies them (`Domain.dot`, `Domain.axpy`): a generic loop, or over
+GF(p)[y] one packed sum.  `ScaledPoly` is a polynomial that records its
+content, c * base, as the engine's integer views do.  Also provides the
 Laurent-side helpers the sequence machinery needs: reciprocal, x-adic
 valuation, the polynomial part of f * (s_1 x^-1 + ...), the prefix of the
 series u2/u, and pseudo-division.
@@ -131,38 +134,44 @@ class Poly:
         return "Poly(%s, %s)" % (self.dom.descriptor(), format_poly(self))
 
 
+class ScaledPoly(Poly):
+    """c * base for a canonical nonzero c, recording `content` = (c, base).
+
+    The engine's views over the integers, mu = c * mu^ and mu' = c' * mu^',
+    are built as these, so an identity check can take the content from the
+    record instead of re-deriving it by gcd (`lfsr.verify_identity`).
+    coeffs == c * base holds by construction, and negation keeps the
+    record: -f is c * (-base).  Equality and hashing read the coefficients
+    alone, as for any Poly.
+    """
+
+    __slots__ = ("content",)
+
+    def __init__(self, c, base: Poly):
+        dom = base.dom
+        super().__init__(dom, [dom.mul(c, a) for a in base.coeffs], _canonical=True)
+        object.__setattr__(self, "content", (c, base))
+
+    def __neg__(self):
+        c, base = self.content
+        return ScaledPoly(c, -base)
+
+
 def dot(dom: Domain, cs, ts):
-    """sum c_k * t_k over zip(cs, ts), skipping zero factors."""
-    acc = dom.zero
-    for c, t in zip(cs, ts):
-        if not dom.is_zero(c) and not dom.is_zero(t):
-            acc = dom.add(acc, dom.mul(c, t))
-    return acc
+    """sum c_k * t_k over zip(cs, ts), skipping zero factors (`Domain.dot`)."""
+    return dom.dot(cs, ts)
 
 
 def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
-    """a * x^e * f + b * x^e2 * g, canonical.
+    """a * x^e * f + b * x^e2 * g, canonical (`Domain.axpy`).
 
-    a and b are coerced once; every coefficient after that comes out of
-    `dom.mul` and `dom.add` on canonical values, so it is canonical already
-    and the result is only trimmed.
+    a and b must be canonical values of the domain (every caller in the
+    library passes coefficients, discrepancies or their negations); they
+    are not coerced here.
     """
     check_same_domain(f.dom, g.dom)
     dom = f.dom
-    a, b = dom.coerce(a), dom.coerce(b)
-    n = max(len(f.coeffs) + e, len(g.coeffs) + e2)
-    out = [dom.zero] * n
-    if not dom.is_zero(a):
-        for k, c in enumerate(f.coeffs):
-            if not dom.is_zero(c):
-                out[k + e] = dom.mul(a, c)
-    if not dom.is_zero(b):
-        for k, c in enumerate(g.coeffs):
-            if not dom.is_zero(c):
-                out[k + e2] = dom.add(out[k + e2], dom.mul(b, c))
-    while out and dom.is_zero(out[-1]):
-        out.pop()
-    return Poly(dom, out, _canonical=True)
+    return Poly(dom, dom.axpy(a, e, f.coeffs, b, e2, g.coeffs), _canonical=True)
 
 
 def mul(f: Poly, g: Poly) -> Poly:

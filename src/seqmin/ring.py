@@ -6,6 +6,12 @@ for gfp_poly); the domain object carries the operations.  Mismatched-domain
 errors are raised wherever two domain-carrying containers meet (polynomials,
 sequences), since bare values do not know their domain.
 
+Each domain supplies the engine's two kernels: `Domain.dot`, a sum of
+products such as a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 *
+g, the update (what `poly.dot` and `poly.add_scaled` call).  GF(2), GF(p)
+and the integers run the generic loops, one `mul` per product; GF(p)[y]
+forms each as one packed sum of products, `inner_mod`.
+
 Each domain also multiplies whole coefficient lists (`Domain.polymul`, what
 `poly.mul` calls).  GF(p) and GF(p)[y] do it with one packed product,
 `mul_mod`; the integers keep the generic schoolbook loop.  And each domain
@@ -154,6 +160,44 @@ class Domain:
 
     def inv(self, a):
         raise DomainError("%s is not a field; no inverses" % self.descriptor())
+
+    def dot(self, cs, ts):
+        """sum c_k * t_k over zip(cs, ts), skipping zero factors.
+
+        The engine's discrepancy kernel (`poly.dot`).  This generic loop,
+        one `mul` per pair of nonzero factors, is what GF(2), GF(p) and the
+        integers run, and the reference GFpPolyRing's packed sum is tested
+        against.
+        """
+        acc = self.zero
+        for c, t in zip(cs, ts):
+            if not self.is_zero(c) and not self.is_zero(t):
+                acc = self.add(acc, self.mul(c, t))
+        return acc
+
+    def axpy(self, a, e: int, fs, b, e2: int, gs) -> list:
+        """a * x^e * f + b * x^e2 * g as a trimmed coefficient list.
+
+        The engine's update kernel (`poly.add_scaled`).  a, b and every
+        coefficient of fs and gs are canonical; each output coefficient
+        comes out of `mul` and `add` on canonical values, so it is canonical
+        already and the list is only trimmed.  This generic loop is what
+        GF(2), GF(p) and the integers run, and the reference GFpPolyRing's
+        packed sum is tested against.
+        """
+        n = max(len(fs) + e, len(gs) + e2)
+        out = [self.zero] * n
+        if not self.is_zero(a):
+            for k, c in enumerate(fs):
+                if not self.is_zero(c):
+                    out[k + e] = self.mul(a, c)
+        if not self.is_zero(b):
+            for k, c in enumerate(gs):
+                if not self.is_zero(c):
+                    out[k + e2] = self.add(out[k + e2], self.mul(b, c))
+        while out and self.is_zero(out[-1]):
+            out.pop()
+        return out
 
     def polymul(self, fs, gs) -> list:
         """The product of two nonempty coefficient lists (ascending, untrimmed).
@@ -465,8 +509,9 @@ class GFpPolyRing(Domain):
     def mul(self, a, b):
         """One `mul_mod` of the y-coefficient lists (packed above its crossover).
 
-        The engine and `add_scaled` call this on every update.  The product
-        of two canonical values is canonical: lead(a) * lead(b) != 0 mod p.
+        The engine's nabla products call this; its discrepancies and updates
+        are packed sums (`dot`, `axpy`) that do not.  The product of two
+        canonical values is canonical: lead(a) * lead(b) != 0 mod p.
         """
         if not a or not b:
             return ()
@@ -483,6 +528,42 @@ class GFpPolyRing(Domain):
         D = max(map(len, fs)) + max(map(len, gs)) - 1
         out = mul_mod(self._flatten(fs, D), self._flatten(gs, D), self.p)
         return [self._trim(out[k:k + D]) for k in range(0, (len(fs) + len(gs) - 1) * D, D)]
+
+    def dot(self, cs, ts):
+        """sum c_k * t_k as one `inner_mod` over the pairs of nonzero factors.
+
+        Each product of y-polynomials is one pair of the packed sum, which
+        adds them as ints and reduces each y-coefficient once, in place of
+        a `mul` and an `add` per term.
+        """
+        pairs = [(c, t) for c, t in zip(cs, ts) if c and t]
+        if not pairs:
+            return ()
+        return self._trim(inner_mod(pairs, self.p, max(len(c) + len(t) for c, t in pairs) - 1))
+
+    def axpy(self, a, e, fs, b, e2, gs):
+        """a * x^e * f + b * x^e2 * g as one `inner_mod`, trimmed.
+
+        fs and gs are canonical (no trailing zero).  Each is flattened with
+        x = y^D, as in `polymul`, where D is the largest y-length of any
+        product a * f_k or b * g_k, so no two y-coefficients share a slot;
+        e * D (e2 * D) zero slots in front are the shift, and the scalar is
+        the other factor of its pair.  The sum is unpacked once and each
+        D-chunk trimmed to a y-coefficient.  The packed products are not
+        `mul` calls, so a `count_mults` pass counts none for the update.
+        """
+        terms = [(s, k, hs) for s, k, hs in ((a, e, fs), (b, e2, gs)) if s and hs]
+        if not terms:
+            return []
+        D = max(len(s) + max(map(len, hs)) - 1 for s, _, hs in terms)
+        flat = [(s, self._flatten(hs, D, k)) for s, k, hs in terms]
+        # each product is n * D slots plus len(s) - 1 zero slots past the last chunk
+        n = max(len(hs) + k for _, k, hs in terms)
+        total = inner_mod(flat, self.p, max(len(s) + len(h) for s, h in flat) - 1)
+        out = [self._trim(total[i:i + D]) for i in range(0, n * D, D)]
+        while out and not out[-1]:
+            out.pop()
+        return out
 
     def inner_is_constant(self, pairs, c) -> bool:
         """Whether sum f * g equals c, from one packed sum over GF(p).
@@ -505,8 +586,10 @@ class GFpPolyRing(Domain):
         return total[:k] == list(c) and not any(total[k:])
 
     @staticmethod
-    def _flatten(cs, D):
-        flat, pad = [], (0,) * D
+    def _flatten(cs, D, k=0):
+        """cs with x = y^D as one GF(p) list: each x-coefficient padded to D
+        y-coefficients, after k * D zero slots for a factor x^k."""
+        flat, pad = [0] * (k * D), (0,) * D
         for c in cs:
             flat += c
             flat += pad[len(c):]

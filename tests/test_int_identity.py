@@ -13,7 +13,9 @@ small integers (the first D points of the check this one replaced), at
 x = 1 and at a power of two, or with a coefficient at exactly +-B, on a
 common content that does not divide c, on pairs that cancel, on factors
 with large contents (made false in ways that keep those contents) and on
-factors whose content is 1.
+factors whose content is 1.  The engine's views record their content
+(`poly.ScaledPoly`), which `verify_identity` reads in place of the gcds;
+the records are checked to be sound and to give the plain copies' verdict.
 """
 
 from math import gcd
@@ -21,8 +23,8 @@ from math import gcd
 import pytest
 
 from seqmin.annihilator import extend_by_jump, mr_bullet_family
-from seqmin.lfsr import minimal_realisation, run, verify_identity
-from seqmin.poly import PairedPoly, Poly, mul
+from seqmin.lfsr import _recorded_contents, minimal_realisation, run, verify_identity
+from seqmin.poly import PairedPoly, Poly, ScaledPoly, mul
 from seqmin.ring import Domain, DomainError, IntegerRing
 from seqmin.sequence import SequenceView
 
@@ -383,3 +385,93 @@ def test_content_one_factors_with_15k_bit_coefficients():
     moved[i + 1] += 1
     assert _value_at_one(_pair(moved, g), b, 0) == 0
     assert not _checks_agree(_pair(moved, g), b, 0)
+
+
+def _views(res):
+    """Every polynomial of a result that the engine's views form."""
+    return [res.mu.f, res.mu.f2, res.mu_prime.f, res.mu_prime.f2,
+            res.bez_numu.f, res.bez_numu.f2, res.bez_fg.f, res.bez_fg.f2]
+
+
+def _plain(p: PairedPoly) -> PairedPoly:
+    return PairedPoly(Poly(Z, p.f.coeffs), Poly(Z, p.f2.coeffs))
+
+
+def test_views_record_their_content_soundly():
+    """coeffs == c * base for every view that records (c, base), and for its
+    negation; a record changes neither equality nor the hash."""
+    rng = seeded(616)
+    recorded = 0
+    for n in range(1, 26):
+        for eps in (None, rng.choice(TERMS)):
+            res = minimal_realisation(SequenceView(Z, [rng.choice(TERMS) for _ in range(n)]), eps)
+            for v in _views(res):
+                plain = Poly(Z, v.coeffs)
+                assert v == plain and plain == v and hash(v) == hash(plain)
+                if not isinstance(v, ScaledPoly):
+                    continue
+                recorded += 1
+                c, base = v.content
+                assert c > 1 and v.coeffs == tuple(c * b for b in base.coeffs)
+                neg = -v
+                assert isinstance(neg, ScaledPoly) and neg.content == (c, -base)
+                assert neg.coeffs == tuple(-x for x in v.coeffs) == (-plain).coeffs
+                assert neg.coeffs == tuple(c * b for b in neg.content[1].coeffs)
+    assert recorded > 300
+
+
+def test_recorded_contents_give_the_plain_verdict():
+    """`verify_identity` decides the same with the views' records and with
+    plain copies of them: true identities, nabla +- 1, -nabla, and one
+    coefficient moved on a plain factor (which takes the plain route)."""
+    rng = seeded(617)
+    via_records = 0
+    for n in range(1, 26):
+        for eps in (None, rng.choice(TERMS)):
+            res = minimal_realisation(SequenceView(Z, [rng.choice(TERMS) for _ in range(n)]), eps)
+            mu_fg = PairedPoly(res.mu.f, res.mu_prime.f)
+            for a, b in ((res.bez_numu, res.mu), (res.bez_fg, mu_fg)):
+                via_records += _recorded_contents(a, b) is not None
+                nabla = res.nabla
+                for c in (nabla, nabla + 1, nabla - 1, -nabla):
+                    assert verify_identity(a, b, c) == verify_identity(_plain(a), _plain(b), c)
+                assert verify_identity(a, b, nabla)
+                polys = [a.f, a.f2, b.f, b.f2]
+                for k in range(4):
+                    moved = list(polys)
+                    moved[k] = _bumped(polys[k], rng)
+                    a2, b2 = PairedPoly(*moved[:2]), PairedPoly(*moved[2:])
+                    assert _recorded_contents(a2, b2) is None
+                    assert verify_identity(a2, b2, nabla) == polys[k ^ 2].is_zero()
+    assert via_records > 60
+
+
+def test_mixed_recorded_contents_take_the_plain_route():
+    """Records whose two pairs do not share the contents {c, c'} are not used,
+    even when the products of the contents agree."""
+    f, f2, g, g2 = Poly(Z, [1, 2]), Poly(Z, [3]), Poly(Z, [-3]), Poly(Z, [1, 2])
+    # f * g + f2 * g2 = 0 over the bases
+    for (ca, ca2, cb, cb2) in ((2, 3, 5, 7), (2, 3, 15, 10), (6, 6, 5, 1)):
+        a = PairedPoly(ScaledPoly(ca, f), ScaledPoly(ca2, f2))
+        b = PairedPoly(ScaledPoly(cb, g), ScaledPoly(cb2, g2))
+        assert _recorded_contents(a, b) is None
+        for c in (0, 1, ca * cb):
+            assert verify_identity(a, b, c) == verify_identity(_plain(a), _plain(b), c)
+    # one plain factor among recorded ones
+    a = PairedPoly(ScaledPoly(2, f), ScaledPoly(5, f2))
+    b = PairedPoly(Poly(Z, [-15]), ScaledPoly(2, g2))
+    assert _recorded_contents(a, b) is None
+    assert verify_identity(a, b, 0) == verify_identity(_plain(a), _plain(b), 0)
+
+
+def test_recorded_contents_must_divide_expected():
+    """With contents {6, 35} on both pairs, the sum is 210 * (the bases' sum)."""
+    f, f2, g, g2 = Poly(Z, [1, 1]), Poly(Z, [1]), Poly(Z, [1, -1]), Poly(Z, [1, 0, 1])
+    # (1 + x)(1 - x) + 1 * (1 + x^2) = 2
+    a = PairedPoly(ScaledPoly(6, f), ScaledPoly(35, f2))
+    b = PairedPoly(ScaledPoly(35, g), ScaledPoly(6, g2))
+    assert _recorded_contents(a, b)[0] == 210
+    assert verify_identity(a, b, 420)
+    for c in (421, 419, 210, 630, -420, 0, 2):
+        assert not verify_identity(a, b, c)
+        assert not verify_identity(_plain(a), _plain(b), c)

@@ -1,0 +1,138 @@
+"""GF(p)[y]'s packed engine kernels against the generic loops.
+
+`GFpPolyRing.dot` and `GFpPolyRing.axpy` (the discrepancy and the update
+behind `poly.dot` and `poly.add_scaled`) are each one `inner_mod`.  Here
+they are compared with the generic `Domain.dot` and `Domain.axpy`, called
+on the same ring as base-class functions, over p = 2, 3, 7 and 2^31 - 1,
+so that the packed sums run in slots of 1, 2 and 4 bytes and wider than 8;
+with zero scalars, empty lists, zero interior x-coefficients, shifts and
+sums that cancel to zero.
+"""
+
+import pytest
+
+from seqmin import ring
+from seqmin.poly import Poly, add_scaled, dot
+from seqmin.ring import Domain, GFpPolyRing
+
+from util import seeded
+
+PRIMES = [2, 3, 7, 2**31 - 1]
+
+
+def _ypoly(rng, p, ylen):
+    """A y-polynomial of length at most ylen, often zero or short."""
+    if ylen == 0 or rng.random() < 0.2:
+        return ()
+    cs = [rng.randrange(p) for _ in range(rng.randint(1, ylen))]
+    cs[-1] = rng.randrange(1, p)
+    return tuple(cs)
+
+
+def _xpoly(rng, p, xlen, ylen):
+    """A canonical list of xlen y-polynomials: zero interior entries, nonzero lead."""
+    cs = [_ypoly(rng, p, ylen) for _ in range(xlen)]
+    if cs:
+        cs[-1] = _ypoly(rng, p, ylen) or (1,)
+    return cs
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """Calls a kernel, recording the slot size of each `inner_mod` it makes.
+
+    The size follows `inner_mod`'s documented bound: whole bytes, rounded up
+    to 1, 2, 4 or 8 for C-integer slots.  Products inside the generic loops
+    run outside the recording.
+    """
+    real, recording = ring.inner_mod, []
+
+    def spy(pairs, p, n):
+        if recording:
+            bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
+            width = (bound.bit_length() + 7) // 8
+            call.slots.add(next((s for s in (1, 2, 4, 8) if s >= width), width))
+        return real(pairs, p, n)
+
+    def call(kernel, *args):
+        recording.append(True)
+        try:
+            return kernel(*args)
+        finally:
+            recording.pop()
+
+    call.slots = set()
+    monkeypatch.setattr(ring, "inner_mod", spy)
+    return call
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dot_matches_the_generic_loop(p, packed):
+    R, rng = GFpPolyRing(p), seeded(1201 + p % 1000)
+    for _ in range(150):
+        cs = [_ypoly(rng, p, 8) for _ in range(rng.randint(0, 12))]
+        ts = [_ypoly(rng, p, 8) for _ in range(rng.randint(0, 14))]
+        assert packed(R.dot, cs, ts) == Domain.dot(R, cs, ts)
+    assert R.dot([], []) == Domain.dot(R, [], []) == ()
+    assert R.dot([(), ()], [(1,), (2,)]) == ()
+    # c * t + c * (-t) = 0
+    t = (1, 0, 1, 1)
+    assert R.dot([(1, 1), (1, 1)], [t, R.neg(t)]) == ()
+    if p < 2**31 - 1:
+        assert packed.slots == ({1} if p < 7 else {1, 2})
+    else:
+        assert max(packed.slots) > 8
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_axpy_matches_the_generic_loop(p, packed):
+    R, rng = GFpPolyRing(p), seeded(1301 + p % 1000)
+    for _ in range(150):
+        a, b = _ypoly(rng, p, 6), _ypoly(rng, p, 6)
+        fs = _xpoly(rng, p, rng.randint(0, 9), 7)
+        gs = _xpoly(rng, p, rng.randint(0, 9), 7)
+        e, e2 = rng.randint(0, 3), rng.randint(0, 3)
+        want = Domain.axpy(R, a, e, fs, b, e2, gs)
+        assert packed(R.axpy, a, e, fs, b, e2, gs) == want, (a, e, fs, b, e2, gs)
+        assert add_scaled(a, e, Poly(R, fs), b, e2, Poly(R, gs)).coeffs == tuple(want)
+    # scalars of 1000 y-coefficients: sums of up to 2000 products a slot
+    a, b = (1,) * 1000, tuple(rng.randrange(p) for _ in range(999)) + (1,)
+    fs, gs = _xpoly(rng, p, 4, 30), _xpoly(rng, p, 3, 90)
+    assert packed(R.axpy, a, 2, fs, b, 0, gs) == Domain.axpy(R, a, 2, fs, b, 0, gs)
+    if p < 2**31 - 1:
+        assert packed.slots == {2: {1, 2}, 3: {1, 2}, 7: {1, 2, 4}}[p]
+    else:
+        assert max(packed.slots) > 8
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_axpy_edge_cases(p):
+    R = GFpPolyRing(p)
+    f = [(1, 2 % p or 1), (), (0, 1)]
+    g = [(1,), (0, 0, 1)]
+    one, a = (1,), (2 % p or 1, 1)
+    cases = [
+        ((), 0, f, (), 0, g),           # both scalars zero
+        ((), 2, f, one, 1, g),          # a zero
+        (a, 1, f, (), 3, g),            # b zero
+        (a, 0, [], one, 0, []),         # both lists empty
+        (a, 3, [], one, 1, g),          # f empty, g shifted
+        (a, 2, f, a, 0, [(), (), ()] + f),
+    ]
+    for case in cases:
+        assert R.axpy(*case) == Domain.axpy(R, *case), case
+    # b * g = -a * f: the sum trims to zero, also with equal shifts on both sides
+    for e in (0, 1, 4):
+        assert R.axpy(a, e, f, R.neg(a), e, f) == Domain.axpy(R, a, e, f, R.neg(a), e, f) == []
+    # the top x-coefficients cancel and the rest does not
+    top = R.axpy(one, 0, [(1,), (1,)], R.neg(one), 1, [(1,)])
+    assert top == Domain.axpy(R, one, 0, [(1,), (1,)], R.neg(one), 1, [(1,)]) == [(1,)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_dot_reads_the_domain_kernel(p):
+    R, rng = GFpPolyRing(p), seeded(1401)
+    cs = [_ypoly(rng, p, 5) for _ in range(6)]
+    ts = [_ypoly(rng, p, 5) for _ in range(6)]
+    assert dot(R, cs, ts) == Domain.dot(R, cs, ts)
+    assert dot(R, cs, iter(ts)) == R.dot(cs, ts)
