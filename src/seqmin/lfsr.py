@@ -25,11 +25,12 @@ mu^ and a few scalars; over a field and GF(p)[y] every content is one
 the last jump is stored as that jump formed it, and each of mu and mu' is
 expanded at most once per value, when first read (`MRState`).
 
-Each step costs one discrepancy, the `dot` of mu^ with the last LC + 1
-terms, and one `add_scaled` update each of mu^ and mu2^, shared by both
-branches.  `poly.dot` and `poly.add_scaled` call the domain's two
-coefficient kernels, `Domain.dot` and `Domain.axpy`: the generic loops
-over GF(2), GF(p) and the integers, one packed sum each over GF(p)[y].
+Each step costs one discrepancy, the `Domain.dot` of mu^ with the last
+LC + 1 terms, and one `add_scaled` update (`Domain.axpy`) each of mu^ and
+mu2^, shared by both branches.  These are the domain's two scalar kernels:
+the generic loops over GF(2), GF(p) and the integers, one packed sum each
+over GF(p)[y], where the update is the list kernel `Domain.inner` of the
+shifted scalars and the factors.
 Over the integers every view records its content (`poly.ScaledPoly`), so
 `verify_identity` takes c * c' from the records instead of re-deriving it
 by gcd.  `mr_gf2_scan` is the same recursion on bit-packed GF(2) ints;
@@ -46,7 +47,6 @@ from .poly import (
     Poly,
     ScaledPoly,
     add_scaled,
-    dot,
     pair_add_scaled,
 )
 from .ring import Domain, DomainError, check_same_domain
@@ -68,7 +68,7 @@ def discrepancy(f: Poly, s: SequenceView):
     check_same_domain(f.dom, s.dom)
     # f_k meets s_{n-d+k} at 0-based index lo + k; indices below 0 read as 0
     lo = len(s) - f.degree() - 1
-    return dot(f.dom, f.coeffs[max(-lo, 0):], s.terms[max(lo, 0):])
+    return f.dom.dot(f.coeffs[max(-lo, 0):], s.terms[max(lo, 0):])
 
 
 def annihilates(f: Poly, s: SequenceView) -> bool:
@@ -81,7 +81,7 @@ def annihilates(f: Poly, s: SequenceView) -> bool:
     check_same_domain(f.dom, s.dom)
     dom = f.dom
     d = f.degree()
-    return all(dom.is_zero(dot(dom, f.coeffs, s.terms[j - d - 1:j]))
+    return all(dom.is_zero(dom.dot(f.coeffs, s.terms[j - d - 1:j]))
                for j in range(d + 1, len(s) + 1))
 
 
@@ -165,7 +165,7 @@ def mr_step(st: MRState, s_next) -> MRState:
 
     # Delta = c * delta_hat, delta_hat = sum_{k=0}^{LC} mu_hat_k s_{k+(j+e)/2}
     # with LC = (j-e)/2: mu_hat against the last LC + 1 terms
-    delta_hat = dot(dom, st.mu_hat.f.coeffs, st.terms[(j + e) // 2 - 1:])
+    delta_hat = dom.dot(st.mu_hat.f.coeffs, st.terms[(j + e) // 2 - 1:])
 
     delta = delta_hat
     jumped = False
@@ -220,7 +220,7 @@ def _split_pair(dom: Domain, p: PairedPoly):
 def partial_discrepancy(st: MRState):
     """The next discrepancy minus lead(mu) * s_{j+1}: mu_k s_{k+j+1-LC}, k < LC."""
     mu = st.mu.f
-    return dot(st.dom, mu.coeffs[:-1], st.terms[st.j - mu.degree():])
+    return st.dom.dot(mu.coeffs[:-1], st.terms[st.j - mu.degree():])
 
 
 def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
@@ -231,8 +231,9 @@ def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
     the content products included.  Splitting off a content over the
     integers takes gcds and exact divisions, which are not `dom.mul` calls
     and are not counted.  Over GF(p)[y] the discrepancies and updates are
-    packed sums (`GFpPolyRing.dot`, `GFpPolyRing.axpy`), not `mul` calls,
-    so there the count is the nabla products alone.
+    packed sums (`GFpPolyRing.dot`, and `GFpPolyRing.axpy` through the list
+    kernel `GFpPolyRing.inner`), not `mul` calls, so there the count is the
+    nabla products alone.
     """
     dom = s.dom
     if count_mults:
@@ -337,11 +338,12 @@ def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     """True iff a.f*b.f + a.f2*b.f2 equals the constant `expected`, exactly.
 
     The domain decides (`Domain.inner_is_constant`) in one packed
-    evaluation: GF(2), GF(p) and GF(p)[y] form the sum of both products as
-    one packed sum (`ring.inner_mod`); the integers divide out the common
-    content and evaluate the sum once, at a power of two above twice its
-    coefficient bound, which is just as exact.  Every identity check of the
-    library runs through here.
+    evaluation: GF(2), GF(p) and GF(p)[y] expand the sum of both products
+    with their list kernel `Domain.inner`, one packed sum (`ring.inner_mod`),
+    and compare it with the constant coefficient by coefficient; the
+    integers divide out the common content and evaluate the sum once, at a
+    power of two above twice its coefficient bound, which is just as exact.
+    Every identity check of the library runs through here.
 
     When every factor records its content (the engine's views over the
     integers, `poly.ScaledPoly`) and both products have the same two

@@ -1,14 +1,13 @@
 """Dense univariate polynomials over a domain, ascending coefficients.
 
-The library's two coefficient kernels are called through here: `dot` (a
-sum of coefficient-times-term products, such as a discrepancy) and
-`add_scaled` (a * x^e * f + b * x^e2 * g, the engine's update).  Each
-domain supplies them (`Domain.dot`, `Domain.axpy`): a generic loop, or over
-GF(p)[y] one packed sum.  `ScaledPoly` is a polynomial that records its
-content, c * base, as the engine's integer views do.  Also provides the
-Laurent-side helpers the sequence machinery needs: reciprocal, x-adic
-valuation, the polynomial part of f * (s_1 x^-1 + ...), the prefix of the
-series u2/u, and pseudo-division.
+Arithmetic runs on the domain's kernels: `add_scaled` (a * x^e * f + b *
+x^e2 * g, the engine's update) on `Domain.axpy`, and `mul` on
+`Domain.polymul`, one `Domain.inner` of the two coefficient lists; the
+discrepancies of the sequence-facing helpers are `Domain.dot` sums.
+`ScaledPoly` is a polynomial that records its content, c * base, as the
+engine's integer views do.  Also provides the Laurent-side helpers the
+sequence machinery needs: reciprocal, x-adic valuation, the polynomial part
+of f * (s_1 x^-1 + ...), the prefix of the series u2/u, and pseudo-division.
 """
 
 from __future__ import annotations
@@ -157,11 +156,6 @@ class ScaledPoly(Poly):
         return ScaledPoly(c, -base)
 
 
-def dot(dom: Domain, cs, ts):
-    """sum c_k * t_k over zip(cs, ts), skipping zero factors (`Domain.dot`)."""
-    return dom.dot(cs, ts)
-
-
 def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
     """a * x^e * f + b * x^e2 * g, canonical (`Domain.axpy`).
 
@@ -175,10 +169,10 @@ def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
 
 
 def mul(f: Poly, g: Poly) -> Poly:
-    """f * g through the domain's own product, `Domain.polymul`.
+    """f * g through the domain's list kernel (`Domain.polymul`, one `Domain.inner`).
 
     GF(2), GF(p) and GF(p)[y] pack each factor into one Python int and
-    multiply once (`ring.mul_mod`, Kronecker substitution), so CPython's
+    multiply once (`ring.inner_mod`, Kronecker substitution), so CPython's
     big-integer multiply does the work; small products stay schoolbook.
     The integers keep the schoolbook loop: their coefficients are already
     big ints that CPython multiplies with Karatsuba, and packing them was
@@ -308,7 +302,7 @@ def poly_part(f: Poly, s: SequenceView) -> Poly:
     if f.is_zero() or first is None:
         return Poly.zero(dom)
     top = f.degree() - first
-    return Poly(dom, [dot(dom, f.coeffs[j + 1:], s.terms) for j in range(top + 1)])
+    return Poly(dom, [dom.dot(f.coeffs[j + 1:], s.terms) for j in range(top + 1)])
 
 
 def series_prefix(u2: Poly, u: Poly, m: int) -> SequenceView:
@@ -331,7 +325,7 @@ def series_prefix(u2: Poly, u: Poly, m: int) -> SequenceView:
     low = u.coeffs[-2::-1]
     terms = []
     for j in range(1, m + 1):
-        terms.append(dom.sub(u2.coeff(d - j), dot(dom, low, reversed(terms))))
+        terms.append(dom.sub(u2.coeff(d - j), dom.dot(low, reversed(terms))))
     return SequenceView(dom, terms)
 
 

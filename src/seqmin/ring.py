@@ -6,28 +6,28 @@ for gfp_poly); the domain object carries the operations.  Mismatched-domain
 errors are raised wherever two domain-carrying containers meet (polynomials,
 sequences), since bare values do not know their domain.
 
-Each domain supplies the engine's two kernels: `Domain.dot`, a sum of
-products such as a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 *
-g, the update (what `poly.dot` and `poly.add_scaled` call).  GF(2), GF(p)
-and the integers run the generic loops, one `mul` per product; GF(p)[y]
-forms each as one packed sum of products, `inner_mod`.
+Each domain has one list kernel, `Domain.inner`: the sum of f * g over pairs
+of coefficient lists.  Its generic schoolbook loop, one `mul` per pair of
+nonzero coefficients, is the integers' kernel and the reference the others
+are tested against; GF(p) forms the sum as one packed sum of products,
+`inner_mod`, and GF(p)[y] flattens it with x = y^D into one `inner_mod` over
+GF(p).  Whole products (`Domain.polymul`, what `poly.mul` calls) and
+identity checks (`Domain.inner_is_constant`, what `lfsr.verify_identity`
+calls) are written once, on top of `inner`; the integers alone decide an
+identity another way, evaluating the sum once at a power of two above twice
+its coefficient bound.
 
-Each domain also multiplies whole coefficient lists (`Domain.polymul`, what
-`poly.mul` calls).  GF(p) and GF(p)[y] do it with one packed product,
-`mul_mod`; the integers keep the generic schoolbook loop.  And each domain
-decides whether a sum of such products is a given constant
-(`Domain.inner_is_constant`, what `lfsr.verify_identity` calls) with one
-packed evaluation: GF(p) and GF(p)[y] form the whole sum as one packed sum
-of products, `inner_mod`, and the integers evaluate it once, at a power of
-two above twice its coefficient bound.
+The engine's two scalar kernels are `Domain.dot`, a sum of products such as
+a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update
+(what `poly.add_scaled` calls).  GF(2), GF(p) and the integers run the
+generic loops, one `mul` per product; GF(p)[y] forms the discrepancy as one
+`inner_mod` and the update as one `inner`.
 """
 
 from __future__ import annotations
 
 import array
 import sys
-from functools import reduce
-from itertools import zip_longest
 from math import gcd
 
 
@@ -54,23 +54,23 @@ def is_prime(p: int) -> bool:
     return True
 
 
-# mul_mod's crossover: it packs once (len(fs) - 1) * (len(gs) - 1) reaches
-# this, and below it a schoolbook loop on ints beats packing, unpacking and
-# one big-integer multiplication.  Both ways end in one pass reducing each
-# output coefficient, so a one-coefficient factor (a scaling) gains little
-# from packing and stays schoolbook at any length.  Measured on CPython 3.11
-# (best of 15 x 1000 calls, GF(2) / GF(3) / GF(7), schoolbook against packed
-# us): 5 x 5 is faster schoolbook, 6 x 6 (25) packs (5.7/5.4, 3.6/3.0,
-# 3.5/3.1), 2 x 24 (23) breaks even, 2 x 32 packs (7.9/7.4, 7.6/6.9,
-# 8.1/7.3); 1 x 64 is faster schoolbook (5.7/6.4, 9.8/9.9, 5.5/6.2), 1 x 128
-# breaks even and 1 x 256 packs 8-20 % faster (20.7/19.2, 19.0/17.1,
-# 25.0/20.5).
+# inner_mod's crossover for a single pair: it packs once (len(fs) - 1) *
+# (len(gs) - 1) reaches this, and below it a schoolbook loop on ints beats
+# packing, unpacking and one big-integer multiplication.  Both ways end in
+# one pass reducing each output coefficient, so a one-coefficient factor (a
+# scaling) gains little from packing and stays schoolbook at any length.
+# Measured on CPython 3.11 (best of 15 x 1000 calls, GF(2) / GF(3) / GF(7),
+# schoolbook against packed us): 5 x 5 is faster schoolbook, 6 x 6 (25)
+# packs (5.7/5.4, 3.6/3.0, 3.5/3.1), 2 x 24 (23) breaks even, 2 x 32 packs
+# (7.9/7.4, 7.6/6.9, 8.1/7.3); 1 x 64 is faster schoolbook (5.7/6.4,
+# 9.8/9.9, 5.5/6.2), 1 x 128 breaks even and 1 x 256 packs 8-20 % faster
+# (20.7/19.2, 19.0/17.1, 25.0/20.5).
 PACK_CROSSOVER = 25
 
 # array typecode for each slot size in bytes that a C integer type has, in
 # ascending size.  Slots of these sizes pack and unpack as arrays in C; the
 # byte-by-byte loop that every wider slot needs is 3-4.5x slower on the same
-# products (CPython 3.11, best of 7): all of mul_mod's packed products in one
+# products (CPython 3.11, best of 7): all of the packed products in one
 # round of the benchmark's gf2-mr take 3.0 ms as arrays and 13.7 ms byte by
 # byte, gfp-mr 1.9 and 7.5 ms, ring-growth (GF(3)[y]) 17.2 and 59.7 ms.
 _SLOT_CODES = {array.array(c).itemsize: c for c in "BHILQ"}
@@ -82,38 +82,30 @@ _SLOT_CODES = {array.array(c).itemsize: c for c in "BHILQ"}
 _BYTE_MOD = {p: bytes(range(p)) * (256 // p) + bytes(range(256 % p)) for p in (2, 3, 5, 7, 11, 13)}
 
 
-def mul_mod(fs, gs, p: int) -> list:
-    """The product of two nonempty GF(p) coefficient lists, reduced mod p.
-
-    Coefficients are ints in [0, p-1], ascending; the result has all
-    len(fs) + len(gs) - 1 coefficients, not trimmed.  Small products (below
-    PACK_CROSSOVER) run a schoolbook loop on ints, with one % p per output
-    coefficient; larger ones are `inner_mod` of the one pair.
-    """
-    n = len(fs) + len(gs) - 1
-    if (len(fs) - 1) * (len(gs) - 1) < PACK_CROSSOVER:
-        out = [0] * n
-        for i, c in enumerate(fs):
-            if c:
-                for k, d in enumerate(gs, i):
-                    out[k] += c * d
-        return [c % p for c in out]
-    return inner_mod(((fs, gs),), p, n)
-
-
 def inner_mod(pairs, p: int, n: int) -> list:
     """The sum of f * g over the (fs, gs) in pairs, as n coefficients reduced mod p.
 
-    Every fs and gs is a nonempty GF(p) coefficient list (ints in [0, p-1],
-    ascending), and n is at least the largest len(fs) + len(gs) - 1; the
-    result is not trimmed.  Kronecker substitution (Harvey, JSC 2009): each
-    factor packs into one int, one slot per coefficient, each slot wide
-    enough for a coefficient of the unreduced sum -- at most (p-1)^2 times
-    the sum of min(len fs, len gs) over the pairs -- rounded up to whole
-    bytes.  One big-integer product per pair forms every coefficient of
-    that pair at once, the products are added as ints, and the sum is
-    unpacked and reduced once.
+    pairs is a nonempty list or tuple, every fs and gs a nonempty GF(p)
+    coefficient list (ints in [0, p-1], ascending), and n is at least the
+    largest len(fs) + len(gs) - 1; the result is not trimmed.  A single
+    pair below PACK_CROSSOVER runs a schoolbook loop on ints, with one % p
+    per output coefficient.  Otherwise Kronecker substitution (Harvey, JSC
+    2009): each factor packs into one int, one slot per coefficient, each
+    slot wide enough for a coefficient of the unreduced sum -- at most
+    (p-1)^2 times the sum of min(len fs, len gs) over the pairs -- rounded
+    up to whole bytes.  One big-integer product per pair forms every
+    coefficient of that pair at once, the products are added as ints, and
+    the sum is unpacked and reduced once.
     """
+    if len(pairs) == 1:
+        fs, gs = pairs[0]
+        if (len(fs) - 1) * (len(gs) - 1) < PACK_CROSSOVER:
+            out = [0] * n
+            for i, c in enumerate(fs):
+                if c:
+                    for k, d in enumerate(gs, i):
+                        out[k] += c * d
+            return [c % p for c in out]
     bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
     width = (bound.bit_length() + 7) // 8
     size = next((s for s in _SLOT_CODES if s >= width), None)
@@ -164,7 +156,7 @@ class Domain:
     def dot(self, cs, ts):
         """sum c_k * t_k over zip(cs, ts), skipping zero factors.
 
-        The engine's discrepancy kernel (`poly.dot`).  This generic loop,
+        The engine's discrepancy kernel (`lfsr.mr_step`).  This generic loop,
         one `mul` per pair of nonzero factors, is what GF(2), GF(p) and the
         integers run, and the reference GFpPolyRing's packed sum is tested
         against.
@@ -199,37 +191,43 @@ class Domain:
             out.pop()
         return out
 
-    def polymul(self, fs, gs) -> list:
-        """The product of two nonempty coefficient lists (ascending, untrimmed).
+    def inner(self, pairs, n: int) -> list:
+        """The sum of f * g over the (fs, gs) in pairs, as n coefficients.
 
-        The generic schoolbook loop, one `mul` per pair of nonzero
-        coefficients: the integers use it, and it is the reference the
-        packed products of GFp and GFpPolyRing are tested against.
+        pairs is not empty, every fs and gs is a nonempty canonical
+        coefficient list (ascending), and n is at least the largest len(fs)
+        + len(gs) - 1; the result is not trimmed.  The domain's one list
+        kernel, on which `polymul` and `inner_is_constant` are written.
+        This generic schoolbook loop, one `mul` per pair of nonzero
+        coefficients, is what the integers run, and the reference the
+        packed sums of GFp and GFpPolyRing are tested against.
         """
-        out = [self.zero] * (len(fs) + len(gs) - 1)
-        for i, c in enumerate(fs):
-            if self.is_zero(c):
-                continue
-            for j, d in enumerate(gs):
-                if not self.is_zero(d):
-                    out[i + j] = self.add(out[i + j], self.mul(c, d))
+        out = [self.zero] * n
+        for fs, gs in pairs:
+            for i, c in enumerate(fs):
+                if not self.is_zero(c):
+                    for k, d in enumerate(gs, i):
+                        if not self.is_zero(d):
+                            out[k] = self.add(out[k], self.mul(c, d))
         return out
+
+    def polymul(self, fs, gs) -> list:
+        """The product of two nonempty coefficient lists (ascending, untrimmed): one `inner`."""
+        return self.inner(((fs, gs),), len(fs) + len(gs) - 1)
 
     def inner_is_constant(self, pairs, c) -> bool:
         """Whether the sum of f * g over the (fs, gs) in pairs is the constant c.
 
         fs and gs are canonical coefficient lists (ascending, empty for
-        zero) and c is canonical.  The generic route expands: one `polymul`
-        per pair of nonzero factors, the products added coefficient by
-        coefficient, the trimmed sum compared with c.  Every domain of this
-        module overrides it with one packed evaluation; this route is the
-        reference the tests compare those with.
+        zero) and c is canonical.  The pairs of nonzero factors go into one
+        `inner`, and the sum is c when it reads c, 0, 0, ... coefficient by
+        coefficient.
         """
-        products = [self.polymul(fs, gs) for fs, gs in pairs if fs and gs]
-        total = [reduce(self.add, col) for col in zip_longest(*products, fillvalue=self.zero)]
-        while total and self.is_zero(total[-1]):
-            total.pop()
-        return total == ([] if self.is_zero(c) else [c])
+        pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
+        if not pairs:
+            return self.is_zero(c)
+        total = self.inner(pairs, max(len(fs) + len(gs) for fs, gs in pairs) - 1)
+        return total == [c] + [self.zero] * (len(total) - 1)
 
     def split_content(self, cs):
         """(c, cs / c): a common factor c of the coefficients cs, and the quotients.
@@ -309,23 +307,9 @@ class GFp(Domain):
             raise DomainError("zero is not invertible")
         return pow(a, self.p - 2, self.p)
 
-    def polymul(self, fs, gs):
-        """One packed product, `mul_mod`; canonical, as lead(f) * lead(g) != 0."""
-        return mul_mod(fs, gs, self.p)
-
-    def inner_is_constant(self, pairs, c) -> bool:
-        """Whether sum f * g equals c, from one packed sum (`inner_mod`).
-
-        Every pair of nonzero factors goes into one `inner_mod`, which adds
-        the unreduced products as ints and reduces each coefficient of the
-        sum once; the sum is c when its constant term is c and every other
-        coefficient is zero.
-        """
-        pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
-        if not pairs:
-            return c == 0
-        total = inner_mod(pairs, self.p, max(len(fs) + len(gs) for fs, gs in pairs) - 1)
-        return total[0] == c and not any(total[1:])
+    def inner(self, pairs, n):
+        """`inner_mod`: one packed sum reduced mod p (schoolbook for one small pair)."""
+        return inner_mod(pairs, self.p, n)
 
     def pow(self, a, k):
         if k < 0:
@@ -507,7 +491,7 @@ class GFpPolyRing(Domain):
         return tuple((-c) % self.p for c in a)
 
     def mul(self, a, b):
-        """One `mul_mod` of the y-coefficient lists (packed above its crossover).
+        """One `inner_mod` of the y-coefficient lists (packed above its crossover).
 
         The engine's nabla products call this; its discrepancies and updates
         are packed sums (`dot`, `axpy`) that do not.  The product of two
@@ -515,19 +499,7 @@ class GFpPolyRing(Domain):
         """
         if not a or not b:
             return ()
-        return tuple(mul_mod(a, b, self.p))
-
-    def polymul(self, fs, gs):
-        """Polynomials in x over GF(p)[y] through one packed product.
-
-        Substituting x = y^D, with D above the product's y-degree, turns
-        each factor into one GF(p) coefficient list (each x-coefficient
-        padded to D y-coefficients); `mul_mod` multiplies the two, and
-        coefficient k of the product is the k-th D-slot chunk, trimmed.
-        """
-        D = max(map(len, fs)) + max(map(len, gs)) - 1
-        out = mul_mod(self._flatten(fs, D), self._flatten(gs, D), self.p)
-        return [self._trim(out[k:k + D]) for k in range(0, (len(fs) + len(gs) - 1) * D, D)]
+        return tuple(inner_mod(((a, b),), self.p, len(a) + len(b) - 1))
 
     def dot(self, cs, ts):
         """sum c_k * t_k as one `inner_mod` over the pairs of nonzero factors.
@@ -542,57 +514,62 @@ class GFpPolyRing(Domain):
         return self._trim(inner_mod(pairs, self.p, max(len(c) + len(t) for c, t in pairs) - 1))
 
     def axpy(self, a, e, fs, b, e2, gs):
-        """a * x^e * f + b * x^e2 * g as one `inner_mod`, trimmed.
+        """a * x^e * f + b * x^e2 * g as one `inner`, trimmed.
 
-        fs and gs are canonical (no trailing zero).  Each is flattened with
-        x = y^D, as in `polymul`, where D is the largest y-length of any
-        product a * f_k or b * g_k, so no two y-coefficients share a slot;
-        e * D (e2 * D) zero slots in front are the shift, and the scalar is
-        the other factor of its pair.  The sum is unpacked once and each
-        D-chunk trimmed to a y-coefficient.  The packed products are not
-        `mul` calls, so a `count_mults` pass counts none for the update.
+        x^e * a is the x-polynomial (0, ..., 0, a), so the update is the
+        sum of its product with f and that of x^e2 * b with g.  The packed
+        products are not `mul` calls, so a `count_mults` pass counts none
+        for the update.
         """
-        terms = [(s, k, hs) for s, k, hs in ((a, e, fs), (b, e2, gs)) if s and hs]
-        if not terms:
+        pairs = [(((),) * k + (s,), hs) for s, k, hs in ((a, e, fs), (b, e2, gs)) if s and hs]
+        if not pairs:
             return []
-        D = max(len(s) + max(map(len, hs)) - 1 for s, _, hs in terms)
-        flat = [(s, self._flatten(hs, D, k)) for s, k, hs in terms]
-        # each product is n * D slots plus len(s) - 1 zero slots past the last chunk
-        n = max(len(hs) + k for _, k, hs in terms)
-        total = inner_mod(flat, self.p, max(len(s) + len(h) for s, h in flat) - 1)
-        out = [self._trim(total[i:i + D]) for i in range(0, n * D, D)]
+        out = self.inner(pairs, max(len(s) + len(hs) for s, hs in pairs) - 1)
         while out and not out[-1]:
             out.pop()
         return out
 
-    def inner_is_constant(self, pairs, c) -> bool:
-        """Whether sum f * g equals c, from one packed sum over GF(p).
+    def inner(self, pairs, n):
+        """The sum of f * g over x-polynomials, as one `inner_mod` over GF(p).
 
-        Every factor is flattened with x = y^D, as in `polymul`, and one
-        `inner_mod` forms the flattened sum.  D is above every product's
-        y-degree, so no two y-coefficients share a slot, and at least len(c),
-        so that c, read as a GF(p) list, lies in the x^0 chunk alone: the
-        sum is c exactly when the flattened sum is c followed by zeros.  (With
-        D below len(c), c's upper y-coefficients would be compared with the
-        x^1 chunk, and 1 + x would pass for 1 + y.)
+        Substituting x = y^D, with D above every product's y-degree, turns
+        each factor into one GF(p) coefficient list, each x-coefficient but
+        the last padded to D y-coefficients, so no two y-coefficients of the
+        sum share a slot: x-coefficient k of the sum is the k-th D-slot
+        chunk, trimmed.  A chunk whose top slot is nonzero needs no trim,
+        and most chunks of a true identity are zero, which `any` finds
+        without a trim.  The first factor's leading zero x-coefficients, a
+        power x^k, go as k * D zero slots in front of the second, so that
+        `axpy`'s shifted scalars pack as the scalars alone: padded, a scalar
+        would fill (k + 1) * D slots, and the products a slot adds up would
+        no longer be bounded by its length.
         """
-        pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
-        if not pairs:
-            return not c
-        D = max(len(c), max(max(map(len, fs)) + max(map(len, gs)) - 1 for fs, gs in pairs))
-        flat = [(self._flatten(fs, D), self._flatten(gs, D)) for fs, gs in pairs]
+        D = max(max(map(len, fs)) + max(map(len, gs)) for fs, gs in pairs) - 1
+        flat = []
+        for fs, gs in pairs:
+            k = 0
+            while not fs[k]:
+                k += 1
+            flat.append((self._flatten(fs[k:], D), self._flatten(gs, D, k)))
         total = inner_mod(flat, self.p, max(len(f) + len(g) for f, g in flat) - 1)
-        k = len(c)
-        return total[:k] == list(c) and not any(total[k:])
+        out = []
+        for i in range(0, n * D, D):
+            c = total[i:i + D]
+            out.append(tuple(c) if c and c[-1] else self._trim(c) if any(c) else ())
+        return out
 
     @staticmethod
-    def _flatten(cs, D, k=0):
-        """cs with x = y^D as one GF(p) list: each x-coefficient padded to D
-        y-coefficients, after k * D zero slots for a factor x^k."""
-        flat, pad = [0] * (k * D), (0,) * D
-        for c in cs:
+    def _flatten(cs, D, shift=0):
+        """cs with x = y^D as one GF(p) list after shift * D zero slots: each
+        x-coefficient but the last padded to D y-coefficients.  A lone
+        unshifted x-coefficient comes back as it is."""
+        if len(cs) == 1 and not shift:
+            return cs[0]
+        flat, pad = [0] * (shift * D), (0,) * D
+        for c in cs[:-1]:
             flat += c
             flat += pad[len(c):]
+        flat += cs[-1]
         return flat
 
     def coerce(self, x):

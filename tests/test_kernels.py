@@ -1,19 +1,21 @@
-"""GF(p)[y]'s packed engine kernels against the generic loops.
+"""The packed kernels of GF(p) and GF(p)[y] against the generic loops.
 
 `GFpPolyRing.dot` and `GFpPolyRing.axpy` (the discrepancy and the update
-behind `poly.dot` and `poly.add_scaled`) are each one `inner_mod`.  Here
+behind `lfsr.mr_step` and `poly.add_scaled`) are each one `inner_mod`.  Here
 they are compared with the generic `Domain.dot` and `Domain.axpy`, called
 on the same ring as base-class functions, over p = 2, 3, 7 and 2^31 - 1,
 so that the packed sums run in slots of 1, 2 and 4 bytes and wider than 8;
 with zero scalars, empty lists, zero interior x-coefficients, shifts and
-sums that cancel to zero.
+sums that cancel to zero.  The list kernels `GFp.inner` and
+`GFpPolyRing.inner` are compared with the schoolbook `Domain.inner` in the
+same way.
 """
 
 import pytest
 
 from seqmin import ring
-from seqmin.poly import Poly, add_scaled, dot
-from seqmin.ring import Domain, GFpPolyRing
+from seqmin.poly import Poly, add_scaled
+from seqmin.ring import Domain, GFp, GFpPolyRing
 
 from util import seeded
 
@@ -134,5 +136,65 @@ def test_poly_dot_reads_the_domain_kernel(p):
     R, rng = GFpPolyRing(p), seeded(1401)
     cs = [_ypoly(rng, p, 5) for _ in range(6)]
     ts = [_ypoly(rng, p, 5) for _ in range(6)]
-    assert dot(R, cs, ts) == Domain.dot(R, cs, ts)
-    assert dot(R, cs, iter(ts)) == R.dot(cs, ts)
+    assert R.dot(cs, ts) == Domain.dot(R, cs, ts)
+    assert R.dot(cs, iter(ts)) == R.dot(cs, ts)
+
+
+def _coeffs(rng, p, n):
+    """n GF(p) coefficients, often zero, with a nonzero lead."""
+    cs = [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+    cs[-1] = rng.randrange(1, p)
+    return cs
+
+
+def _inner_cases(rng, draw, shift, neg, one):
+    """Lists of (fs, gs) pairs for `inner`: draw(n) is a nonzero-lead factor of
+    length n, shift(k, fs) puts k zero coefficients in front and neg negates.
+
+    Multi-pair sums; a factor with leading zeros (the shifted scalar of an
+    update) as the first or the second of its pair; one-coefficient factors;
+    single pairs just below and at PACK_CROSSOVER; and sums cancelling to zero.
+    """
+    cases = [[(draw(rng.randint(1, 12)), draw(rng.randint(1, 12)))
+              for _ in range(rng.randint(1, 4))] for _ in range(60)]
+    for _ in range(20):
+        a, fs = shift(rng.randint(1, 4), draw(rng.randint(1, 3))), draw(rng.randint(1, 9))
+        cases += [[(a, fs)], [(fs, a)], [(a, fs), (draw(2), shift(rng.randint(0, 3), draw(4)))]]
+    cases += [[(one, draw(1))], [(draw(1), draw(30))], [(draw(40), draw(1)), (draw(1), one)]]
+    assert (5 - 1) * (7 - 1) == (2 - 1) * (25 - 1) == ring.PACK_CROSSOVER - 1
+    assert (6 - 1) * (6 - 1) == (2 - 1) * (26 - 1) == ring.PACK_CROSSOVER
+    cases += [[(draw(a), draw(b))] for a, b in [(5, 7), (7, 5), (2, 25), (6, 6), (2, 26), (26, 2)]]
+    for a, b in [(1, 1), (3, 8), (6, 6), (20, 30)]:
+        fs, gs = draw(a), draw(b)
+        cases += [[(fs, gs), (fs, neg(gs))], [(fs, gs), (neg(fs), gs), (gs, fs)]]
+    return cases
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gfp_inner_matches_the_generic_loop(p):
+    F, rng = GFp(p), seeded(1501 + p % 1000)
+    cases = _inner_cases(rng, lambda n: _coeffs(rng, p, n), lambda k, fs: [0] * k + fs,
+                         lambda fs: [F.neg(c) for c in fs], [1])
+    for pairs in cases:
+        n = max(len(fs) + len(gs) for fs, gs in pairs) - 1 + rng.randrange(3)
+        assert F.inner(pairs, n) == Domain.inner(F, pairs, n), pairs
+    fs, gs = _coeffs(rng, p, 9), _coeffs(rng, p, 9)
+    assert F.inner([(fs, gs), (fs, [F.neg(c) for c in gs])], 17) == [0] * 17
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gfp_poly_inner_matches_the_generic_loop(p):
+    """x-polynomials over GF(p)[y], and the same shapes in y-constants alone (D = 1)."""
+    R, rng = GFpPolyRing(p), seeded(1601 + p % 1000)
+
+    def neg(fs):
+        return [R.neg(c) for c in fs]
+
+    for ylen in (1, 6):
+        cases = _inner_cases(rng, lambda n: _xpoly(rng, p, n, ylen), lambda k, fs: [()] * k + fs,
+                             neg, [(1,)])
+        for pairs in cases:
+            n = max(len(fs) + len(gs) for fs, gs in pairs) - 1 + rng.randrange(3)
+            assert R.inner(pairs, n) == Domain.inner(R, pairs, n), pairs
+    fs, gs = _xpoly(rng, p, 5, 4), _xpoly(rng, p, 7, 4)
+    assert R.inner([(fs, gs), (neg(fs), gs)], 12) == [()] * 12

@@ -1,17 +1,17 @@
 """Packed (Kronecker) products and identity checks against independent references.
 
 `poly.mul` over GF(2), GF(p) and GF(p)[y], and `GFpPolyRing.mul`, go
-through `ring.mul_mod`.  Each product here is compared with sympy's
-`Poly(..., modulus=p)` and with the generic schoolbook loop
-`Domain.polymul`, over a seeded sweep of lengths on both sides of the
-crossover, with zero coefficients, all-(p-1) factors (the fullest slots)
-and sums whose leading terms cancel mod p.  Sums of products, `inner_mod`,
-are checked in one-byte slots (reduced by a translate table) for every
-prime that has them.  The packed identity checks of GFp and GFpPolyRing
-(`inner_is_constant`, one `inner_mod` each) are compared with the generic
-expanding `Domain.inner_is_constant` and with `util.verify_pair_identity`
-on true identities, on the same identities with one coefficient moved by
-one and with the constant moved by one.
+through `ring.inner_mod`.  Each product here is compared with sympy's
+`Poly(..., modulus=p)` and with the generic schoolbook loop `Domain.inner`,
+over a seeded sweep of lengths on both sides of the crossover, with zero
+coefficients, all-(p-1) factors (the fullest slots) and sums whose leading
+terms cancel mod p.  Sums of products, `inner_mod`, are checked in one-byte
+slots (reduced by a translate table) for every prime that has them.  The
+packed identity checks of GFp and GFpPolyRing (`inner_is_constant`, one
+`inner_mod` each) are compared with the schoolbook expansion
+`util.schoolbook_is_constant` and with `util.verify_pair_identity` on true
+identities, on the same identities with one coefficient moved by one and
+with the constant moved by one.
 """
 
 import pytest
@@ -19,10 +19,10 @@ import sympy
 
 from seqmin.lfsr import minimal_realisation, verify_identity
 from seqmin.poly import PairedPoly, Poly, mul
-from seqmin.ring import GF2, Domain, GFp, GFpPolyRing, inner_mod, mul_mod
+from seqmin.ring import GF2, Domain, GFp, GFpPolyRing, inner_mod
 from seqmin.sequence import SequenceView
 
-from util import seeded, verify_pair_identity
+from util import schoolbook_is_constant, seeded, verify_pair_identity
 
 X, Y = sympy.symbols("x y")
 FIELDS = [GF2(), GFp(7), GFp(2**31 - 1)]
@@ -42,6 +42,11 @@ def _sympy_mul(fs, gs, p):
     return cs + [0] * (len(fs) + len(gs) - 1 - len(cs))
 
 
+def _schoolbook(dom, fs, gs):
+    """fs * gs by the generic loop `Domain.inner`, whatever dom's own kernel."""
+    return Domain.inner(dom, [(fs, gs)], len(fs) + len(gs) - 1)
+
+
 def _random_coeffs(rng, p, n, zeros):
     """n coefficients, each zero with probability `zeros`, nonzero lead."""
     cs = [0 if rng.random() < zeros else rng.randrange(p) for _ in range(n)]
@@ -56,12 +61,12 @@ def test_mul_matches_sympy_and_schoolbook(dom):
         for zeros in (0.0, 0.5):
             fs, gs = _random_coeffs(rng, p, a, zeros), _random_coeffs(rng, p, b, zeros)
             want = _sympy_mul(fs, gs, p)
-            assert mul_mod(fs, gs, p) == want, (a, b)
-            assert Domain.polymul(dom, fs, gs) == want, (a, b)
+            assert GFp(p).polymul(fs, gs) == want, (a, b)
+            assert _schoolbook(dom, fs, gs) == want, (a, b)
             assert mul(Poly(dom, fs), Poly(dom, gs)).coeffs == tuple(want)
         # all coefficients p - 1: every slot holds its largest unreduced value
         top = [p - 1] * a, [p - 1] * b
-        assert mul_mod(*top, p) == _sympy_mul(*top, p) == Domain.polymul(dom, *top), (a, b)
+        assert GFp(p).polymul(*top) == _sympy_mul(*top, p) == _schoolbook(dom, *top), (a, b)
 
 
 @pytest.mark.parametrize("dom", FIELDS, ids=lambda d: d.descriptor())
@@ -94,7 +99,7 @@ def test_gfp_poly_scalar_mul_matches_sympy_and_schoolbook():
         got = R.mul(x, y)
         prod = _sympy_ypoly(x, 3) * _sympy_ypoly(y, 3)
         assert got == tuple(int(c) % 3 for c in reversed(prod.all_coeffs())), (a, b)
-        assert list(got) == Domain.polymul(F3, list(x), list(y)), (a, b)
+        assert list(got) == _schoolbook(F3, list(x), list(y)), (a, b)
     assert R.mul((), (1, 2)) == R.mul((2,), ()) == ()
 
 
@@ -128,7 +133,7 @@ def test_gfp_poly_x_mul_matches_sympy_and_schoolbook(xlens, ylen):
         n = len(f) + len(g) - 1
         prod = _sympy_xypoly(f, 3) * _sympy_xypoly(g, 3)
         assert got.coeffs == _from_sympy_xy(prod, 3, n)
-        assert got.coeffs == tuple(Domain.polymul(R, f, g))
+        assert got.coeffs == tuple(_schoolbook(R, f, g))
 
 
 def test_gfp_poly_x_mul_trims_cancelled_y_leads():
@@ -138,7 +143,7 @@ def test_gfp_poly_x_mul_trims_cancelled_y_leads():
     assert got.coeffs == ((0, 0, 2), (0, 2), (0, 1, 1))
     # a zero y-polynomial in the middle of both factors
     got = mul(Poly(R, [(1,), (), (2, 1)]), Poly(R, [(2,), (), (1, 1)]))
-    assert got.coeffs == tuple(Domain.polymul(R, [(1,), (), (2, 1)], [(2,), (), (1, 1)]))
+    assert got.coeffs == tuple(_schoolbook(R, [(1,), (), (2, 1)], [(2,), (), (1, 1)]))
     assert got.coeffs[1] == got.coeffs[3] == ()
 
 
@@ -185,7 +190,7 @@ def test_inner_mod_in_byte_slots_and_just_past_them(p):
             n = max(len(f) + len(g) for f, g in pairs) + rng.randrange(3) - 1
             want = [0] * n
             for f, g in pairs:
-                for k, c in enumerate(Domain.polymul(dom, f, g)):
+                for k, c in enumerate(_schoolbook(dom, f, g)):
                     want[k] = (want[k] + c) % p
             assert inner_mod(pairs, p, n) == want, (total, fill)
             for f, g in pairs:
@@ -222,11 +227,11 @@ PACKED_CHECK_DOMAINS = {
 
 
 def _check_agrees(dom, a, b, c):
-    """The packed check, the generic expansion and the reference agree; the verdict."""
+    """The packed check, the schoolbook expansion and the reference agree; the verdict."""
     want = verify_pair_identity(a, b, c)
     pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
     assert dom.inner_is_constant(pairs, c) == want
-    assert Domain.inner_is_constant(dom, pairs, c) == want
+    assert schoolbook_is_constant(dom, pairs, c) == want
     assert verify_identity(a, b, c) == want
     return want
 

@@ -5,7 +5,6 @@ from seqmin.poly import (
     Poly,
     add_scaled,
     divmod_field,
-    dot,
     format_poly,
     inner,
     mul,
@@ -101,9 +100,9 @@ def test_add_scaled():
 
 def test_dot_stops_at_the_shorter_factor_list():
     F = GFp(7)
-    assert dot(F, (3, 0, 5), (2, 4, 1, 6)) == (3 * 2 + 5 * 1) % 7
-    assert dot(F, (3, 5), ()) == 0
-    assert dot(Z, (2, -1), (0, 4)) == -4
+    assert F.dot((3, 0, 5), (2, 4, 1, 6)) == (3 * 2 + 5 * 1) % 7
+    assert F.dot((3, 5), ()) == 0
+    assert Z.dot((2, -1), (0, 4)) == -4
 
 
 def test_divmod_field():

@@ -4,7 +4,7 @@ import random
 from collections import namedtuple
 
 from seqmin.poly import PairedPoly, Poly, mul
-from seqmin.ring import GFp, IntegerRing
+from seqmin.ring import Domain, GFp, IntegerRing
 from seqmin.sequence import SequenceView
 
 
@@ -22,6 +22,21 @@ def verify_pair_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     """Exact check a.f*b.f + a.f2*b.f2 == constant expected."""
     total = mul(a.f, b.f) + mul(a.f2, b.f2)
     return total == Poly.constant(a.dom, expected)
+
+
+def schoolbook_is_constant(dom, pairs, c) -> bool:
+    """Whether sum f * g over the coefficient-list pairs is the constant c.
+
+    Expanded by the generic schoolbook loop `Domain.inner`, whatever dom's
+    own kernel, and compared with c after trimming.
+    """
+    pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
+    if not pairs:
+        return dom.is_zero(c)
+    total = Domain.inner(dom, pairs, max(len(fs) + len(gs) for fs, gs in pairs) - 1)
+    while total and dom.is_zero(total[-1]):
+        total.pop()
+    return total == ([] if dom.is_zero(c) else [c])
 
 
 def seeded(seed=20260825):
