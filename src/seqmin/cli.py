@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: minpoly, mr, bezout, plcp, annihilator, reverse-lc, bench.
-Results go to stdout (optionally as JSON), diagnostics to stderr; exit
-status is 0 on success, 1 when a verification fails, 2 on usage errors.
+Results go to stdout (optionally as JSON, where coefficient tuples are
+arrays), diagnostics to stderr; exit status is 0 on success, 1 when a
+verification fails, 2 on usage errors.  `minpoly` and `mr` share one
+engine pass and one identity check (`_realisation`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .lfsr import (
     verify_identity,
 )
 from .oracle import brute_min_annihilator, ext_euclid
-from .poly import PairedPoly, Poly, parse_poly, pretty_poly, pseudo_divide
+from .poly import PairedPoly, parse_poly, pretty_poly, pseudo_divide
 from .ring import GF2, DomainError, domain_from_string
 from .sequence import parse_sequence, sequence_from_bits
 
@@ -105,62 +107,29 @@ def _eps(dom, args):
     return dom.parse(args.epsilon)
 
 
-def _jpoly(f: Poly):
-    return [c if not isinstance(c, tuple) else list(c) for c in f.coeffs]
-
-
 def _jpair(p: PairedPoly):
-    return [_jpoly(p.f), _jpoly(p.f2)]
+    return p.f.coeffs, p.f2.coeffs
 
 
 def _jval(v):
     return list(v) if isinstance(v, tuple) else v
 
 
-def _result_json(res, profile, verified):
-    return {
-        "mu": _jpoly(res.mu.f),
-        "mu2": _jpoly(res.mu.f2),
-        "mu_prime": _jpair(res.mu_prime),
-        "bez_numu": _jpair(res.bez_numu),
-        "bez_fg": _jpair(res.bez_fg),
-        "nabla": _jval(res.nabla),
-        "lc_profile": profile,
-        "verified": verified,
-    }
+def _realisation(args, trace=False):
+    """One engine pass for `mr` and `minpoly`: (dom, result, verified, rows).
 
-
-def _verify(res) -> bool:
-    ok1 = verify_identity(res.bez_numu, res.mu, res.nabla)
-    ok2 = verify_identity(
-        res.bez_fg, PairedPoly(res.mu.f, res.mu_prime.f), res.nabla
-    )
-    return ok1 and ok2
-
-
-def cmd_minpoly(args):
-    dom = _dom(args)
-    s = parse_sequence(dom, args.seq)
-    res = minimal_realisation(s, _eps(dom, args))
-    if args.monic:
-        res = normalize_monic(res)
-    verified = _verify(res)
-    if args.json:
-        print(json.dumps({"mu": _jpoly(res.mu.f), "verified": verified}))
-    else:
-        print("mu = %s" % pretty_poly(res.mu.f))
-        print("LC = %d" % res.mu.f.degree())
-    return 0 if verified else 1
-
-
-def cmd_mr(args):
+    The pass is `minimal_realisation`, or with `trace` `mr_scan`, whose
+    live state gives one table row per step.  `--monic` is applied before
+    the check.  bez_numu . (mu, mu2) = nabla is expanded once; the two
+    equalities bez_fg = (bez_numu.f, mu2) and mu'.f = bez_numu.f2 make
+    bez_fg . (mu, mu') the same sum term for term, so both identities are
+    proven exactly.
+    """
     dom = _dom(args)
     s = parse_sequence(dom, args.seq)
     eps = _eps(dom, args)
-    if args.trace:
-        # one pass: the table is read off the live state and printed once
-        # the answer is known
-        rows = []
+    rows = []
+    if trace:
         for st in mr_scan(s, eps):
             rows.append(" %2d | %5s | %2d | %s ; %s | %s ; %s" % (
                 st.j, dom.format(st.steps[-1].delta), st.e,
@@ -173,13 +142,39 @@ def cmd_mr(args):
         res = minimal_realisation(s, eps)
     if args.monic:
         res = normalize_monic(res)
-    verified = _verify(res)
+    verified = (verify_identity(res.bez_numu, res.mu, res.nabla)
+                and res.bez_fg == PairedPoly(res.bez_numu.f, res.mu.f2)
+                and res.mu_prime.f == res.bez_numu.f2)
+    return dom, res, verified, rows
+
+
+def cmd_minpoly(args):
+    _, res, verified, _ = _realisation(args)
+    if args.json:
+        print(json.dumps({"mu": res.mu.f.coeffs, "verified": verified}))
+    else:
+        print("mu = %s" % pretty_poly(res.mu.f))
+        print("LC = %d" % res.mu.f.degree())
+    return 0 if verified else 1
+
+
+def cmd_mr(args):
+    dom, res, verified, rows = _realisation(args, args.trace)
     profile = read_step_log(res.state).profile
     if args.trace:
         print("  j | delta | e | mu ; mu2 | mu' ; mu2'")
         print("\n".join(rows))
     if args.json:
-        print(json.dumps(_result_json(res, profile, verified)))
+        print(json.dumps({
+            "mu": res.mu.f.coeffs,
+            "mu2": res.mu.f2.coeffs,
+            "mu_prime": _jpair(res.mu_prime),
+            "bez_numu": _jpair(res.bez_numu),
+            "bez_fg": _jpair(res.bez_fg),
+            "nabla": res.nabla,
+            "lc_profile": profile,
+            "verified": verified,
+        }))
     else:
         print("mu      = (%s, %s)" % (pretty_poly(res.mu.f), pretty_poly(res.mu.f2)))
         print("mu'     = (%s, %s)"
@@ -214,8 +209,8 @@ def cmd_bezout(args):
     if args.json:
         out = {
             "f": _jpair(res.f),
-            "nabla": _jval(res.nabla),
-            "g": _jpoly(res.g),
+            "nabla": res.nabla,
+            "g": res.g.coeffs,
             "verified": verified,
         }
         if args.count_mults:
@@ -254,9 +249,9 @@ def cmd_plcp(args):
     if args.json:
         print(json.dumps({
             "is_plcp": report.is_plcp,
-            "profile": list(report.profile),
-            "odd_discrepancies": [_jval(d) for d in report.odd_discrepancies],
-            "exponents": list(report.exponent_trace),
+            "profile": report.profile,
+            "odd_discrepancies": report.odd_discrepancies,
+            "exponents": report.exponent_trace,
         }))
     else:
         print("PLCP: %s" % report.is_plcp)

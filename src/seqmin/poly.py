@@ -352,7 +352,7 @@ def format_poly(f: Poly) -> str:
     return ",".join(f.dom.format(c) for c in f.coeffs)
 
 
-def pretty_poly(f: Poly, var: str = "x") -> str:
+def pretty_poly(f: Poly) -> str:
     """Human-readable form like x^4 + x^2 + x."""
     if f.is_zero():
         return "0"
@@ -369,7 +369,7 @@ def pretty_poly(f: Poly, var: str = "x") -> str:
         if k == 0:
             term = cs
         else:
-            xs = var if k == 1 else "%s^%d" % (var, k)
+            xs = "x" if k == 1 else "x^%d" % k
             term = xs if cs == "1" else "%s*%s" % (cs, xs)
         if not out:
             out = term if sign == " + " else "-" + term

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import seqmin.cli as cli
 from seqmin.cli import main
 from seqmin.lfsr import verify_identity
 from seqmin.poly import PairedPoly, Poly
@@ -306,3 +307,121 @@ def test_import_does_not_load_dataclasses():
     out = subprocess.run([sys.executable, "-I", "-c", code, src],
                          capture_output=True, text=True, check=True).stdout.split("\n")
     assert out[0].startswith(src) and out[1] == "False"
+
+
+# -- the one identity check of `mr` and `minpoly` ----------------------------
+
+REALISE = [["mr"], ["mr", "--json"], ["mr", "--trace"], ["mr", "--trace", "--json"],
+           ["minpoly"], ["minpoly", "--json"]]
+
+
+class _LiveState:
+    """The engine's live state as `mr_scan` yields it, with a tampered result."""
+
+    def __init__(self, st, tamper):
+        self._st, self._tamper = st, tamper
+
+    def __getattr__(self, name):
+        return getattr(self._st, name)
+
+    def result(self):
+        return self._tamper(self._st.result())
+
+
+def _tamper_engine(monkeypatch, tamper):
+    """Hand the CLI's check a changed realisation, on the plain and the traced pass."""
+    real_mr, real_scan = cli.minimal_realisation, cli.mr_scan
+    monkeypatch.setattr(cli, "minimal_realisation",
+                        lambda s, eps=None: tamper(real_mr(s, eps)))
+    monkeypatch.setattr(cli, "mr_scan", lambda s, eps=None: (
+        _LiveState(st, tamper) for st in real_scan(s, eps)))
+
+
+def _assert_rejected(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1, argv
+    if "--json" in argv:
+        assert json.loads(out.splitlines()[-1])["verified"] is False, argv
+    elif argv[0] == "mr":
+        assert out.endswith("verified: False\n"), argv
+
+
+def _nabla_plus_one(res):
+    dom = res.mu.dom
+    return res._replace(nabla=dom.add(res.nabla, dom.one))
+
+
+def _bez_fg_second_plus_one(res):
+    f, f2 = res.bez_fg.f, res.bez_fg.f2
+    return res._replace(bez_fg=PairedPoly(f, f2 + Poly.one(f2.dom)))
+
+
+def _mu_prime_plus_one(res):
+    f, f2 = res.mu_prime.f, res.mu_prime.f2
+    return res._replace(mu_prime=PairedPoly(f + Poly.one(f.dom), f2))
+
+
+@pytest.mark.parametrize("ring, seq", [
+    ("gf2", "0,1,1,0,0,1,0,1"),
+    ("int", "3,-1,4,1,-5,2"),
+])
+@pytest.mark.parametrize("tamper", [_nabla_plus_one, _bez_fg_second_plus_one,
+                                    _mu_prime_plus_one])
+def test_mr_and_minpoly_reject_a_changed_realisation(capsys, monkeypatch, ring, seq, tamper):
+    """∇ moved by one (over ℤ through the recorded contents of `verify_identity`),
+    a bez_fg whose second entry is no longer μ₂, or a μ′ whose first entry
+    is no longer bez_numu's second: exit 1, verified false."""
+    _tamper_engine(monkeypatch, tamper)
+    for argv in REALISE:
+        _assert_rejected(capsys, argv + ["--ring", ring, "--seq=" + seq])
+
+
+def test_mr_and_minpoly_reject_an_unrescaled_monic_bez_fg(capsys, monkeypatch):
+    """`--monic` that leaves bez_fg as it was (lead(μ) = 3 over GF(7)): exit 1."""
+    real = cli.normalize_monic
+    monkeypatch.setattr(cli, "normalize_monic",
+                        lambda res: real(res)._replace(bez_fg=res.bez_fg))
+    for argv in REALISE:
+        _assert_rejected(capsys, argv + ["--ring", "gfp:7", "--seq", "1,3,2,6,0,5", "--monic"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["mr", "--seq", "0,1,1,0,0,1,0,1"],
+    ["mr", "--ring", "int", "--seq=3,-1,4,1,-5,2", "--trace", "--json"],
+    ["mr", "--ring", "gfp:7", "--seq", "1,3,2,6,0,5", "--monic", "--json"],
+    ["mr", "--ring", "gfp_poly:3", "--seq", "(1,1),(2,1),(1,2),(2,2)", "--trace"],
+    ["minpoly", "--ring", "int", "--seq=3,-1,4,1,-5,2"],
+    ["minpoly", "--ring", "gfp:7", "--seq", "1,3,2,6,0,5", "--monic"],
+])
+def test_mr_and_minpoly_expand_one_identity(capsys, monkeypatch, argv):
+    """Both identities are one sum: one `verify_identity` call per request."""
+    calls = []
+    real = cli.verify_identity
+    monkeypatch.setattr(cli, "verify_identity", lambda *a: calls.append(a) or real(*a))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) == 1
+
+
+# the whole JSON answer of fixed GF(3)[y] requests: coefficient tuples,
+# nested ones included, print as arrays
+@pytest.mark.parametrize("argv, printed", [
+    (["mr", "--seq", "(1,1),(2,1),(1,2),(2,2)"],
+     '{"mu": [[0, 2, 2, 1, 1], [0, 1, 2, 1], [0, 2, 2, 1, 1]], "mu2": [[0, 2, 0, 1, 1, 1], '
+     '[0, 2, 1, 0, 2, 1]], "mu_prime": [[[1, 2], [1, 1]], [[1, 2, 1]]], "bez_numu": '
+     '[[[2, 1, 2]], [[1, 2], [1, 1]]], "bez_fg": [[[2, 1, 2]], [[0, 2, 0, 1, 1, 1], '
+     '[0, 2, 1, 0, 2, 1]]], "nabla": [0, 0, 1, 0, 1, 0, 1], "lc_profile": [1, 1, 2, 2], '
+     '"verified": true}'),
+    (["mr", "--seq", "(1,2),(0,1),(2)", "--epsilon", "(1,1)"],
+     '{"mu": [[1, 2, 1], [0, 2, 1], [1, 1, 1]], "mu2": [[], [1, 0, 0, 2]], "mu_prime": '
+     '[[[0, 2], [1, 2]], [[1, 1, 1]]], "bez_numu": [[[2, 2, 2]], [[0, 2], [1, 2]]], '
+     '"bez_fg": [[[2, 2, 2]], [[], [1, 0, 0, 2]]], "nabla": [2, 0, 2, 0, 2], '
+     '"lc_profile": [1, 1, 2], "verified": true}'),
+    (["bezout", "--u=(0,1),(2),(1,1),(1)", "--u2=(1,2),(0,1)"],
+     '{"f": [[[0, 0, 0, 2]], [[1, 0, 0, 1], [0, 2, 2, 1], [0, 0, 1]]], "nabla": '
+     '[0, 0, 0, 1, 1, 1, 2, 0, 1, 1, 2, 1], "g": [[1, 2, 0, 1, 1]], "verified": true}'),
+    (["plcp", "--seq", "(1,1),(2,1),(1,2),(2,2)"],
+     '{"is_plcp": true, "profile": [1, 1, 2, 2], "odd_discrepancies": [[1, 1], [0, 2, 1]], '
+     '"exponents": [0, 1, 0, 1]}'),
+])
+def test_gfp_poly_json_is_pinned(capsys, argv, printed):
+    assert run_cli(capsys, *argv, "--ring", "gfp_poly:3", "--json") == (0, printed + "\n", "")
