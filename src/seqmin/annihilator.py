@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .lfsr import (annihilates, mr_step, partial_discrepancy, read_step_log, run,
                    verify_identity)
-from .poly import PairedPoly, Poly, pair_add_scaled, pseudo_divide
+from .poly import PairedPoly, Poly, pseudo_divide
 from .ring import DomainError
 from .sequence import SequenceView
 
@@ -39,19 +39,15 @@ def _lc_bullet_of(st) -> int:
 def min_nonvanishing(s: SequenceView, epsilon=None) -> PairedPoly:
     """A least-degree realisation pair whose first entry has nonzero f_0.
 
-    mu itself when mu_0 != 0; otherwise mu + mu' (exponent <= 0) or
-    x^e * mu + mu' (exponent e > 0).
+    mu itself (as mu + 0 * mu') when mu_0 != 0; otherwise the
+    `mr_bullet_family` member with a = 1: mu + mu' (exponent <= 0) or
+    x^e * mu + mu' (exponent e > 0).  Its degree is asserted to be LC-bullet.
     """
     st = _run_nonzero(s, epsilon)
     dom = s.dom
-    if not dom.is_zero(st.mu.f.constant_term()):
-        out = st.mu
-    elif st.e <= 0:
-        out = st.mu + st.mu_prime
-    else:
-        out = pair_add_scaled(dom.one, st.e, st.mu, dom.one, 0, st.mu_prime)
-    if dom.is_zero(out.f.constant_term()):
-        raise AssertionError("constant term still vanishes")
+    vanishes = dom.is_zero(st.mu.f.constant_term())
+    q = Poly(dom, [dom.zero] * st.e + [dom.one]) if vanishes and st.e > 0 else None
+    out = _member(st, q, dom.one if vanishes else dom.zero)
     if out.f.degree() != _lc_bullet_of(st):
         raise AssertionError("degree does not meet the minimum")
     return out
@@ -61,9 +57,8 @@ def mr_bullet_family(s: SequenceView, q: Poly, a, epsilon=None) -> PairedPoly:
     """The member q*mu + a*mu' (exponent > 0) or mu + a*mu' (exponent <= 0).
 
     Requires mu_0 = 0 and a != 0; when the exponent e is positive q must
-    have degree exactly e, otherwise q is ignored (pass None or 1).  The
-    exact pairings tilde(mu') . result = nabla (e <= 0) and
-    tilde(mu) . result = -a * nabla (e > 0) are asserted before returning.
+    have degree exactly e, otherwise q is ignored (pass None or 1).  Its
+    pairing identity and nonzero constant term are asserted (`_member`).
     """
     st = _run_nonzero(s, epsilon)
     dom = s.dom
@@ -72,20 +67,32 @@ def mr_bullet_family(s: SequenceView, q: Poly, a, epsilon=None) -> PairedPoly:
         raise DomainError("a must be nonzero")
     if not dom.is_zero(st.mu.f.constant_term()):
         raise DomainError("mu already has a nonzero constant term")
-    e = st.e
-    if e > 0:
-        if q is None or q.is_zero() or q.degree() != e:
-            raise DomainError("q must have degree %d" % e)
+    if st.e <= 0:
+        q = None
+    elif q is None or q.is_zero() or q.degree() != st.e:
+        raise DomainError("q must have degree %d" % st.e)
+    return _member(st, q, a)
+
+
+def _member(st, q, a) -> PairedPoly:
+    """q*mu + a*mu', or mu + a*mu' when q is None, with a nonzero constant term.
+
+    Asserted before returning, with the exact pairing (`verify_identity`):
+    tilde(mu) . (q*mu + a*mu') = -a * nabla, or tilde(mu') . (mu + a*mu')
+    = nabla.
+    """
+    dom = st.dom
+    if q is None:
+        out = st.mu + st.mu_prime.scale(a)
+        held = verify_identity(st.mu_prime.tilde(), out, st.nabla)
+    else:
         out = PairedPoly(
             q * st.mu.f + st.mu_prime.f.scale(a),
             q * st.mu.f2 + st.mu_prime.f2.scale(a),
         )
-        if not verify_identity(st.mu.tilde(), out, dom.neg(dom.mul(a, st.nabla))):
-            raise AssertionError("pairing identity failed")
-    else:
-        out = st.mu + st.mu_prime.scale(a)
-        if not verify_identity(st.mu_prime.tilde(), out, st.nabla):
-            raise AssertionError("pairing identity failed")
+        held = verify_identity(st.mu.tilde(), out, dom.neg(dom.mul(a, st.nabla)))
+    if not held:
+        raise AssertionError("pairing identity failed")
     if dom.is_zero(out.f.constant_term()):
         raise AssertionError("constant term vanishes")
     return out

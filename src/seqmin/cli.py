@@ -119,11 +119,11 @@ def _realisation(args, trace=False):
     """One engine pass for `mr` and `minpoly`: (dom, result, verified, rows).
 
     The pass is `minimal_realisation`, or with `trace` `mr_scan`, whose
-    live state gives one table row per step.  `--monic` is applied before
-    the check.  bez_numu . (mu, mu2) = nabla is expanded once; the two
-    equalities bez_fg = (bez_numu.f, mu2) and mu'.f = bez_numu.f2 make
-    bez_fg . (mu, mu') the same sum term for term, so both identities are
-    proven exactly.
+    live state gives one row per step: j, delta, e, mu, mu2, mu', mu2'.
+    `--monic` is applied before the check.  bez_numu . (mu, mu2) = nabla is
+    expanded once; the two equalities bez_fg = (bez_numu.f, mu2) and
+    mu'.f = bez_numu.f2 make bez_fg . (mu, mu') the same sum term for term,
+    so both identities are proven exactly.
     """
     dom = _dom(args)
     s = parse_sequence(dom, args.seq)
@@ -131,10 +131,8 @@ def _realisation(args, trace=False):
     rows = []
     if trace:
         for st in mr_scan(s, eps):
-            rows.append(" %2d | %5s | %2d | %s ; %s | %s ; %s" % (
-                st.j, dom.format(st.steps[-1].delta), st.e,
-                pretty_poly(st.mu.f), pretty_poly(st.mu.f2),
-                pretty_poly(st.mu_prime.f), pretty_poly(st.mu_prime.f2)))
+            rows.append((st.j, st.steps[-1].delta, st.e,
+                         st.mu.f, st.mu.f2, st.mu_prime.f, st.mu_prime.f2))
         if not rows:
             raise ValueError("empty sequence")
         res = st.result()
@@ -158,14 +156,14 @@ def cmd_minpoly(args):
     return 0 if verified else 1
 
 
+_TRACE_KEYS = ("j", "delta", "e", "mu", "mu2", "mu_prime", "mu2_prime")
+
+
 def cmd_mr(args):
     dom, res, verified, rows = _realisation(args, args.trace)
     profile = read_step_log(res.state).profile
-    if args.trace:
-        print("  j | delta | e | mu ; mu2 | mu' ; mu2'")
-        print("\n".join(rows))
     if args.json:
-        print(json.dumps({
+        out = {
             "mu": res.mu.f.coeffs,
             "mu2": res.mu.f2.coeffs,
             "mu_prime": _jpair(res.mu_prime),
@@ -174,8 +172,17 @@ def cmd_mr(args):
             "nabla": res.nabla,
             "lc_profile": profile,
             "verified": verified,
-        }))
+        }
+        if args.trace:
+            out["trace"] = [dict(zip(_TRACE_KEYS, (j, delta, e, *(f.coeffs for f in polys))))
+                            for j, delta, e, *polys in rows]
+        print(json.dumps(out))
     else:
+        if args.trace:
+            print("  j | delta | e | mu ; mu2 | mu' ; mu2'")
+            for j, delta, e, *polys in rows:
+                print(" %2d | %5s | %2d | %s ; %s | %s ; %s"
+                      % (j, dom.format(delta), e, *map(pretty_poly, polys)))
         print("mu      = (%s, %s)" % (pretty_poly(res.mu.f), pretty_poly(res.mu.f2)))
         print("mu'     = (%s, %s)"
               % (pretty_poly(res.mu_prime.f), pretty_poly(res.mu_prime.f2)))

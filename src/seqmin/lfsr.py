@@ -337,13 +337,12 @@ def next_identity(st_before: MRState, delta):
 def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     """True iff a.f*b.f + a.f2*b.f2 equals the constant `expected`, exactly.
 
-    The domain decides (`Domain.inner_is_constant`) in one packed
-    evaluation: GF(2), GF(p) and GF(p)[y] expand the sum of both products
-    with their list kernel `Domain.inner`, one packed sum (`ring.inner_mod`),
-    and compare it with the constant coefficient by coefficient; the
-    integers divide out the common content and evaluate the sum once, at a
-    power of two above twice its coefficient bound, which is just as exact.
-    Every identity check of the library runs through here.
+    The domain decides (`Domain.inner_is_constant`): it expands the sum of
+    both products with its list kernel `Domain.inner` and compares it with
+    the constant coefficient by coefficient.  GF(2), GF(p) and GF(p)[y]
+    form the sum as one packed sum (`ring.inner_mod`); the integers first
+    divide out the common content and screen at x = 1, then expand with
+    their int loop.  Every identity check of the library runs through here.
 
     When every factor records its content (the engine's views over the
     integers, `poly.ScaledPoly`) and both products have the same two

@@ -8,14 +8,13 @@ sequences), since bare values do not know their domain.
 
 Each domain has one list kernel, `Domain.inner`: the sum of f * g over pairs
 of coefficient lists.  Its generic schoolbook loop, one `mul` per pair of
-nonzero coefficients, is the integers' kernel and the reference the others
-are tested against; GF(p) forms the sum as one packed sum of products,
-`inner_mod`, and GF(p)[y] flattens it with x = y^D into one `inner_mod` over
-GF(p).  Whole products (`Domain.polymul`, what `poly.mul` calls) and
-identity checks (`Domain.inner_is_constant`, what `lfsr.verify_identity`
-calls) are written once, on top of `inner`; the integers alone decide an
-identity another way, evaluating the sum once at a power of two above twice
-its coefficient bound.
+nonzero coefficients, is the reference the others are tested against: the
+integers run it on ints with no method call per product, GF(p) forms the
+sum as one packed sum of products, `inner_mod`, and GF(p)[y] flattens it
+with x = y^D into one `inner_mod` over GF(p).  Whole products
+(`Domain.polymul`, what `poly.mul` calls) and identity checks
+(`Domain.inner_is_constant`, what `lfsr.verify_identity` calls, an
+expansion compared with the constant) are written once, on top of `inner`.
 
 The engine's two scalar kernels are `Domain.dot`, a sum of products such as
 a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update
@@ -199,8 +198,8 @@ class Domain:
         + len(gs) - 1; the result is not trimmed.  The domain's one list
         kernel, on which `polymul` and `inner_is_constant` are written.
         This generic schoolbook loop, one `mul` per pair of nonzero
-        coefficients, is what the integers run, and the reference the
-        packed sums of GFp and GFpPolyRing are tested against.
+        coefficients, is the reference that the int loop of IntegerRing and
+        the packed sums of GFp and GFpPolyRing are tested against.
         """
         out = [self.zero] * n
         for fs, gs in pairs:
@@ -381,26 +380,27 @@ class IntegerRing(Domain):
             return 1, cs
         return g, [c // g for c in cs]
 
+    def inner(self, pairs, n):
+        """The schoolbook loop on ints, out[k] += c * d: no method call per product."""
+        out = [0] * n
+        for fs, gs in pairs:
+            for i, c in enumerate(fs):
+                if c:
+                    for k, d in enumerate(gs, i):
+                        out[k] += c * d
+        return out
+
     def inner_is_constant(self, pairs, c) -> bool:
-        """Whether sum f * g equals c, decided at one point 2^k without expanding.
+        """Whether sum f * g equals c, expanded on the primitive parts.
 
         Each factor is split first into its content and primitive part
         (`split_content`), f = c_f * f^ and g = c_g * g^, so the sum is
         sum m * f^ * g^ with m = c_f * c_g.  M, the gcd of the m, divides
-        the sum, so it must divide c, and the rest of the check runs on
-        sum (m / M) * f^ * g^ against c / M: the engine's identities carry
-        nearly all of their size in a content they share, and this strips
-        it in one division.  A screen at x = 1 (sums of coefficients, O(len)
-        additions) rejects most false identities at once.
-
-        Then the difference d = sum (m / M) * f^ * g^ - c / M is evaluated
-        once, at X = 2^k: B = |c / M| + sum |m / M| * min(len f^, len g^) *
-        max |f^| * max |g^| bounds its coefficients, and 2^k > 2B.  A
-        nonzero integer polynomial whose coefficients all lie below X / 2
-        in absolute value cannot vanish at X (its lowest nonzero term is
-        not divisible by X), so the check is exact and deterministic.  Each
-        factor packs into one int with k-bit slots (`_at_power`), and each
-        pair costs two big-integer products.
+        the sum, so it must divide c; plain factors of an identity carry
+        nearly all of their size in a content they share, and this strips it
+        in one division.  A screen at x = 1 (sums of coefficients) rejects
+        most false identities at once; what passes is the generic
+        expand-and-compare of sum (m / M) * f^ * g^ against c / M.
         """
         split = []
         for fs, gs in pairs:
@@ -417,12 +417,8 @@ class IntegerRing(Domain):
         split = [(m // M, fs, gs) for m, fs, gs in split]
         if sum(m * sum(fs) * sum(gs) for m, fs, gs in split) != c:
             return False
-        bits = max(c.bit_length(), max(
-            m.bit_length() + max(map(int.bit_length, fs)) + max(map(int.bit_length, gs))
-            + min(len(fs), len(gs)).bit_length() for m, fs, gs in split))
-        # B < (len(split) + 1) * 2^bits, and 2^(8 * width) > 2B
-        width = (bits + (len(split) + 1).bit_length() + 8) // 8
-        return sum(m * _at_power(fs, width) * _at_power(gs, width) for m, fs, gs in split) == c
+        return super().inner_is_constant(
+            [(fs if m == 1 else [m * x for x in fs], gs) for m, fs, gs in split], c)
 
     def coerce(self, x):
         if not isinstance(x, int):
@@ -437,14 +433,6 @@ class IntegerRing(Domain):
 
     def descriptor(self):
         return "int"
-
-
-def _at_power(cs, width: int) -> int:
-    """The integer polynomial cs (ascending) at x = 2^(8 * width); every |c| < x."""
-    zero = bytes(width)
-    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in cs)
-    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in cs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class GFpPolyRing(Domain):
@@ -603,14 +591,15 @@ class GFpPolyRing(Domain):
 
 
 def domain_from_string(text: str) -> Domain:
-    """Parse a descriptor string: gf2 | gfp:<p> | int | gfp_poly:<p>."""
+    """Parse a descriptor string: gf2 | gfp:<p> | int | gfp_poly:<p>; gfp:2 is gf2."""
     text = text.strip()
     if text == "gf2":
         return GF2()
     if text == "int":
         return IntegerRing()
     if text.startswith("gfp:"):
-        return GFp(int(text[4:]))
+        p = int(text[4:])
+        return GF2() if p == 2 else GFp(p)
     if text.startswith("gfp_poly:"):
         return GFpPolyRing(int(text[9:]))
     raise DomainError("unknown ring descriptor %r" % text)

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import seqmin.annihilator as ann
 from seqmin.annihilator import (
     char_decompose,
     extend_by_jump,
@@ -53,6 +58,64 @@ def test_min_nonvanishing_annihilates_with_nonzero_constant():
             assert not dom.is_zero(pair.f.constant_term())
             assert annihilates(pair.f, s)
             assert pair.f.degree() == lc_bullet(s)
+
+
+def _branch(st):
+    """Which member min_nonvanishing builds: mu, mu + mu' or x^e * mu + mu'."""
+    if not st.dom.is_zero(st.mu.f.constant_term()):
+        return "mu"
+    return "x^e mu + mu'" if st.e > 0 else "mu + mu'"
+
+
+def test_min_nonvanishing_proves_its_pairing(monkeypatch):
+    """Each of the three members is checked by its pairing identity: with
+    nabla moved by one the call raises, on every branch over GF(2), GF(3)
+    and the integers."""
+    rng, seen = seeded(53), {}
+    real = ann.run
+
+    def moved(s, epsilon=None):
+        st = real(s, epsilon)
+        st.nabla = st.dom.add(st.nabla, st.dom.one)
+        return st
+
+    monkeypatch.setattr(ann, "run", moved)
+    for dom in (F2, F3, Z):
+        for _ in range(40):
+            s = random_sequence(dom, rng.randint(1, 10), rng)
+            if s.is_zero():
+                continue
+            branch = _branch(run(s))
+            seen[dom, branch] = seen.get((dom, branch), 0) + 1
+            with pytest.raises(AssertionError, match="pairing identity failed"):
+                min_nonvanishing(s)
+    assert len(seen) == 9, seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seq", "0,1,1,0,0,1,0,1"],
+    ["--seq", "0,1,1,0,0,1,0,1", "--extend"],
+    ["--ring", "int", "--seq=3,-5,4,4,-3,5,-4,3", "--json"],
+    ["--ring", "int", "--seq=-4,0,4,0,0,-4,0,-4,4,-4", "--extend", "--json"],
+])
+def test_annihilator_cli_exits_1_on_a_failed_pairing(argv):
+    """The same moved nabla under the CLI, plain and with --extend: the
+    AssertionError ends the process with status 1, as the console script's."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import seqmin.annihilator as ann\n"
+            "from seqmin.cli import main\n"
+            "real = ann.run\n"
+            "def moved(s, epsilon=None):\n"
+            "    st = real(s, epsilon)\n"
+            "    st.nabla = st.dom.add(st.nabla, st.dom.one)\n"
+            "    return st\n"
+            "ann.run = moved\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src, "annihilator"] + argv,
+                         capture_output=True, text=True)
+    assert out.returncode == 1, out
+    assert out.stdout == "" and "AssertionError: pairing identity failed" in out.stderr
 
 
 def test_lc_bullet_is_minimal_by_brute_force():

@@ -54,6 +54,31 @@ def test_mr_trace(capsys):
     assert out.count("\n") >= 5
 
 
+@pytest.mark.parametrize("ring, seq, n", [
+    ("gf2", "0,1,1,0,0,1,0,1", 8),
+    ("gfp:7", "1,3,2,6,0,5", 6),
+    ("int", "3,-1,4,1,-5,2", 6),
+    ("gfp_poly:3", "(1,1),(2,1),(1,2),(2,2)", 4),
+])
+@pytest.mark.parametrize("epsilon", [[], ["--epsilon", "1"]])
+def test_mr_trace_json_is_one_document(capsys, ring, seq, n, epsilon):
+    """`mr --trace --json` prints one JSON object: the answer, with one row per
+    step under "trace", whose last mu is the answer's."""
+    code, out, _ = run_cli(capsys, "mr", "--ring", ring, "--seq", seq, "--trace", "--json",
+                           *epsilon)
+    assert code == 0
+    data = json.loads(out)
+    assert [row["j"] for row in data["trace"]] == list(range(1, n + 1))
+    keys = ["j", "delta", "e", "mu", "mu2", "mu_prime", "mu2_prime"]
+    assert all(list(row) == keys for row in data["trace"])
+    last = data["trace"][-1]
+    assert last["mu"] == data["mu"] and last["mu2"] == data["mu2"]
+    assert [last["mu_prime"], last["mu2_prime"]] == data["mu_prime"]
+    plain = json.loads(run_cli(capsys, "mr", "--ring", ring, "--seq", seq, "--json",
+                               *epsilon)[1])
+    assert {k: v for k, v in data.items() if k != "trace"} == plain
+
+
 def test_bezout_text(capsys):
     code, out, _ = run_cli(
         capsys, "bezout", "--u", "1,0,0,1", "--u2", "1,0,1", "--oracle",
@@ -280,12 +305,19 @@ def test_bench_with_one_distinct_size_prints_valid_json(capsys, sizes):
     assert out.endswith("fitted exponent alpha = n/a\n")
 
 
-@pytest.mark.parametrize("ring", ["gfp:7", "gfp:2", "int", "gfp_poly:3"])
+@pytest.mark.parametrize("ring", ["gfp:7", "int", "gfp_poly:3"])
 def test_plcp_exhaustive_needs_gf2(capsys, ring):
     code, out, err = run_cli(capsys, "plcp", "--ring", ring, "--exhaustive", "4")
     assert code == 2
     assert out == ""
     assert "GF(2)" in err and "--ring gf2" in err
+
+
+def test_plcp_exhaustive_over_gfp_2_is_gf2(capsys):
+    """`gfp:2` names GF(2), so the exhaustive check runs and prints what `gf2` does."""
+    code, out, err = run_cli(capsys, "plcp", "--ring", "gfp:2", "--exhaustive", "4")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "plcp", "--ring", "gf2", "--exhaustive", "4") == (code, out, err)
 
 
 def test_classify_error_without_a_prefix(capsys):

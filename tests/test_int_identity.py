@@ -1,21 +1,24 @@
-"""The integers' identity check: one evaluation at a power of two, not expansion.
+"""The integers' identity check: the content split, then one expansion.
 
 `IntegerRing.inner_is_constant` splits every factor into its content and
 primitive part, divides out M, the gcd of the pairs' c_f * c_g (M must
-divide c), screens at x = 1, and then decides sum f * g = c by evaluating
-sum (c_f * c_g / M) * f^(x) * g^(x) - c / M once, at X = 2^k with 2^k
-above twice the bound B on that difference's coefficients.  It is checked
-here against `util.verify_pair_identity`, which expands the products by
-the schoolbook loop, and against the generic expanding route
-`Domain.inner_is_constant`: on the engine's true identities, on the same
-identities made false by one unit, on differences built to vanish at many
-small integers (the first D points of the check this one replaced), at
-x = 1 and at a power of two, or with a coefficient at exactly +-B, on a
-common content that does not divide c, on pairs that cancel, on factors
-with large contents (made false in ways that keep those contents) and on
-factors whose content is 1.  The engine's views record their content
-(`poly.ScaledPoly`), which `verify_identity` reads in place of the gcds;
-the records are checked to be sound and to give the plain copies' verdict.
+divide c), screens at x = 1, and then expands sum (c_f * c_g / M) * f^ * g^
+with the integers' int loop `IntegerRing.inner` and compares it with c / M.
+It is checked here against `util.verify_pair_identity`, which multiplies
+the whole factors (`poly.mul`) and compares the sum as a polynomial, and
+against the generic route `Domain.inner_is_constant`, which expands
+without the split (the int loop itself is checked against the schoolbook
+`Domain.inner` in test_kernels): on the engine's true identities, on the
+same identities made false by one unit, on false identities that a check
+by evaluation at a few points could accept (differences that vanish at the
+first D small integers, at x = 1 and at a power of two, or with a
+coefficient at exactly +-B, the bound a one-point check at 2^k > 2B uses),
+on a common content that does not divide c, on pairs that cancel, on
+factors with large contents (made false in ways that keep those contents)
+and on factors whose content is 1.  The engine's views record their
+content (`poly.ScaledPoly`), which `verify_identity` reads in place of the
+gcds; the records are checked to be sound and to give the plain copies'
+verdict.
 """
 
 from math import gcd
@@ -35,7 +38,7 @@ TERMS = (-5, -4, -3, 3, 4, 5)
 
 
 def _points(k):
-    """The first k evaluation points, in the order the check uses them."""
+    """The first k evaluation points, in the order the earlier check used them."""
     return [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(k)]
 
 
@@ -52,7 +55,7 @@ def _pair(f, f2):
 
 
 def _checks_agree(a, b, c):
-    """The evaluating check, the generic expansion and the reference agree."""
+    """The split check, the generic expansion and the reference agree."""
     want = verify_pair_identity(a, b, c)
     pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
     assert verify_identity(a, b, c) == want
@@ -171,7 +174,7 @@ def test_zero_factors_and_constants():
     assert _checks_agree(PairedPoly(f, zero), PairedPoly(zero, f), 0)
     assert not _checks_agree(PairedPoly(f, zero), PairedPoly(one, f), 0)
     assert Z.inner_is_constant([], 0) and not Z.inner_is_constant([], 5)
-    # D = 0: constants only, one evaluation point
+    # D = 0: constants only
     a, b = _pair([3], [0]), _pair([5], [7])
     assert _checks_agree(a, b, 15)
     for c in (0, 14, 16, -15):
@@ -293,7 +296,7 @@ def test_difference_at_exactly_plus_minus_B():
     c = -M K^2 (r - 1).  Once the common content M K^2 is divided out, the
     difference is r - x - ... - x^r: its constant term is exactly
     B = |c / (M K^2)| + 1 = r, and it is 0 at x = 1, so the screen passes
-    and the one evaluation must reject it.  The signs flipped give -B.
+    and the check must reject it.  The signs flipped give -B.
     """
     for K in (1, 2, 3, 255, 256, 2**31 - 1, 3**50):
         for r in (1, 2, 3, 7, 40):
@@ -361,9 +364,9 @@ def test_false_identities_that_pass_the_screen():
 def test_content_one_factors_with_15k_bit_coefficients():
     """Content-1 factors, 15k-bit coefficients: nothing to divide out.
 
-    a = (f, g) and b = (g, -f) give f g - g f = 0 (the one evaluation runs
-    with full-size slots); the same with one coefficient of f moved by one,
-    false at x = 1, and moved by (x - 1) x^i, false yet 0 at x = 1.
+    a = (f, g) and b = (g, -f) give f g - g f = 0 (expanded at full size);
+    the same with one coefficient of f moved by one, false at x = 1, and
+    moved by (x - 1) x^i, false yet 0 at x = 1.
     """
     rng, length = seeded(619), 12
 

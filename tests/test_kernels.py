@@ -1,4 +1,4 @@
-"""The packed kernels of GF(p) and GF(p)[y] against the generic loops.
+"""The kernels of GF(p), GF(p)[y] and the integers against the generic loops.
 
 `GFpPolyRing.dot` and `GFpPolyRing.axpy` (the discrepancy and the update
 behind `lfsr.mr_step` and `poly.add_scaled`) are each one `inner_mod`.  Here
@@ -6,16 +6,16 @@ they are compared with the generic `Domain.dot` and `Domain.axpy`, called
 on the same ring as base-class functions, over p = 2, 3, 7 and 2^31 - 1,
 so that the packed sums run in slots of 1, 2 and 4 bytes and wider than 8;
 with zero scalars, empty lists, zero interior x-coefficients, shifts and
-sums that cancel to zero.  The list kernels `GFp.inner` and
-`GFpPolyRing.inner` are compared with the schoolbook `Domain.inner` in the
-same way.
+sums that cancel to zero.  The list kernels `GFp.inner`,
+`GFpPolyRing.inner` and the integers' int loop `IntegerRing.inner` are
+compared with the schoolbook `Domain.inner` in the same way.
 """
 
 import pytest
 
 from seqmin import ring
 from seqmin.poly import Poly, add_scaled
-from seqmin.ring import Domain, GFp, GFpPolyRing
+from seqmin.ring import Domain, GFp, GFpPolyRing, IntegerRing
 
 from util import seeded
 
@@ -198,3 +198,30 @@ def test_gfp_poly_inner_matches_the_generic_loop(p):
             assert R.inner(pairs, n) == Domain.inner(R, pairs, n), pairs
     fs, gs = _xpoly(rng, p, 5, 4), _xpoly(rng, p, 7, 4)
     assert R.inner([(fs, gs), (neg(fs), gs)], 12) == [()] * 12
+
+
+def test_int_inner_matches_the_generic_loop():
+    """The integers' int loop and `polymul` against the schoolbook `Domain.inner`:
+    negative coefficients, interior zeros and leading zeros, 1 to 40
+    coefficients of up to 15k bits, and several pairs per sum."""
+    Z, rng = IntegerRing(), seeded(1701)
+
+    def draw(n):
+        bits = rng.choice((3, 64, 1000, 15000))
+        cs = [rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < 0.7 else 0
+              for _ in range(n)]
+        cs[-1] = cs[-1] or rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1)
+        return cs
+
+    cases = _inner_cases(rng, draw, lambda k, fs: [0] * k + fs, lambda fs: [-c for c in fs], [1])
+    cases += [[(draw(rng.randint(1, 40)), draw(rng.randint(1, 40)))
+               for _ in range(rng.randint(1, 5))] for _ in range(30)]
+    lengths = {len(fs) for pairs in cases for fs, _ in pairs}
+    assert {1, 40} <= lengths
+    for pairs in cases:
+        n = max(len(fs) + len(gs) for fs, gs in pairs) - 1 + rng.randrange(3)
+        assert Z.inner(pairs, n) == Domain.inner(Z, pairs, n), pairs
+        for fs, gs in pairs:
+            assert Z.polymul(fs, gs) == Domain.inner(Z, [(fs, gs)], len(fs) + len(gs) - 1)
+    fs, gs = draw(9), draw(11)
+    assert Z.inner([(fs, gs), (fs, [-c for c in gs])], 19) == [0] * 19

@@ -77,6 +77,14 @@ def test_domain_from_string_roundtrip():
         domain_from_string("gf:4")
 
 
+def test_gfp_2_is_gf2():
+    """`gfp:2` and `gf2` name one domain, GF(2), with the descriptor `gf2`."""
+    dom = domain_from_string("gfp:2")
+    assert isinstance(dom, GF2) and dom == GF2() and dom.descriptor() == "gf2"
+    assert domain_from_string(" gfp:2 ") == GF2()
+    assert domain_from_string("gfp:3") == GFp(3) and not isinstance(domain_from_string("gfp:3"), GF2)
+
+
 def test_domain_equality_and_mismatch():
     assert GFp(7) == domain_from_string("gfp:7")
     assert GFp(7) != GFp(5)
