@@ -15,7 +15,6 @@ from .poly import (
     PairedPoly,
     Poly,
     format_poly,
-    inner,
     parse_poly,
     poly_part,
     pretty_poly,

@@ -337,28 +337,42 @@ def next_identity(st_before: MRState, delta):
 def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     """True iff a.f*b.f + a.f2*b.f2 equals the constant `expected`, exactly.
 
-    The domain decides (`Domain.inner_is_constant`): it expands the sum of
-    both products with its list kernel `Domain.inner` and compares it with
-    the constant coefficient by coefficient.  GF(2), GF(p) and GF(p)[y]
-    form the sum as one packed sum (`ring.inner_mod`); the integers first
-    divide out the common content and screen at x = 1, then expand with
-    their int loop.  Every identity check of the library runs through here.
+    The contents come out first, here and nowhere else.  When every factor
+    records its content (the engine's views over the integers,
+    `poly.ScaledPoly`) and both products have the same two contents
+    {c, c'}, the sum is M = c * c' times the same sum over the recorded
+    factors.  Otherwise each factor of a pair of nonzero factors is split
+    once (`Domain.split_content`), f = c_f * f^, so the sum is
+    sum m * f^ * g^ with m = c_f * c_g, and M is the common content of the
+    m; each f^ is scaled by m / M.  M divides the sum, so `expected` must
+    be divisible by M.  Contents other than one arise over the integers
+    alone, where they carry nearly all of a factor's size.
 
-    When every factor records its content (the engine's views over the
-    integers, `poly.ScaledPoly`) and both products have the same two
-    contents {c, c'}, the sum is c * c' times the same sum over the
-    recorded factors: `expected` must be divisible by c * c', and the
-    quotient is checked on the small factors alone.
+    The domain then decides (`Domain.inner_is_constant`): it expands the
+    remaining sum with its list kernel `Domain.inner` and compares it with
+    expected / M coefficient by coefficient.  Every identity check of the
+    library runs through here.
     """
     check_same_domain(a.dom, b.dom)
     dom = a.dom
     expected = dom.coerce(expected)
     recorded = _recorded_contents(a, b)
     if recorded is not None:
-        m, pairs = recorded
-        q, r = divmod(expected, m)
-        return not r and dom.inner_is_constant(pairs, q)
-    pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
+        M, pairs = recorded
+    else:
+        split = []
+        for fs, gs in ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs)):
+            if fs and gs:
+                cf, fs = dom.split_content(fs)
+                cg, gs = dom.split_content(gs)
+                split.append((_mul(dom, cf, cg), fs, gs))
+        M, ms = dom.split_content([m for m, _, _ in split])
+        pairs = [(fs if m == dom.one else [dom.mul(m, x) for x in fs], gs)
+                 for m, (_, fs, gs) in zip(ms, split)]
+    if M != dom.one:
+        expected, r = divmod(expected, M)
+        if r:
+            return False
     return dom.inner_is_constant(pairs, expected)
 
 

@@ -281,11 +281,6 @@ def pair_add_scaled(a, e: int, p: PairedPoly, b, e2: int, q: PairedPoly) -> Pair
     )
 
 
-def inner(p: PairedPoly, q: PairedPoly) -> Poly:
-    """The inner product p.f * q.f + p.f2 * q.f2."""
-    return mul(p.f, q.f) + mul(p.f2, q.f2)
-
-
 # -- sequence-facing helpers -----------------------------------------
 
 

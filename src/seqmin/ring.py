@@ -11,16 +11,19 @@ of coefficient lists.  Its generic schoolbook loop, one `mul` per pair of
 nonzero coefficients, is the reference the others are tested against: the
 integers run it on ints with no method call per product, GF(p) forms the
 sum as one packed sum of products, `inner_mod`, and GF(p)[y] flattens it
-with x = y^D into one `inner_mod` over GF(p).  Whole products
+with x = y^D into one `inner` of its base field GF(p).  Whole products
 (`Domain.polymul`, what `poly.mul` calls) and identity checks
 (`Domain.inner_is_constant`, what `lfsr.verify_identity` calls, an
-expansion compared with the constant) are written once, on top of `inner`.
+expansion compared with the constant) are written once, on top of `inner`;
+no domain overrides them.  A content leaves an identity check in
+`lfsr.verify_identity`, not here: this module holds arithmetic, the list
+kernels and the content split itself (`Domain.split_content`).
 
 The engine's two scalar kernels are `Domain.dot`, a sum of products such as
 a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update
 (what `poly.add_scaled` calls).  GF(2), GF(p) and the integers run the
 generic loops, one `mul` per product; GF(p)[y] forms the discrepancy as one
-`inner_mod` and the update as one `inner`.
+`inner` of its base field and the update as one `inner` of its own.
 """
 
 from __future__ import annotations
@@ -232,7 +235,10 @@ class Domain:
         """(c, cs / c): a common factor c of the coefficients cs, and the quotients.
 
         The engine carries its realisation as c times the quotients, so that
-        its arithmetic runs on them.  The default keeps every list whole,
+        its arithmetic runs on them, and `lfsr.verify_identity` splits the
+        factors of an identity that carry no record of their content, and
+        then their pairs' products of contents for the common content M, so
+        that it expands the quotients.  The default keeps every list whole,
         (one, cs): in a field every nonzero scalar is a unit, and GF(p)[y]
         keeps its lists whole too, because a y-gcd after every update made
         the engine slower up to n = 12.  The integers take the gcd.
@@ -390,36 +396,6 @@ class IntegerRing(Domain):
                         out[k] += c * d
         return out
 
-    def inner_is_constant(self, pairs, c) -> bool:
-        """Whether sum f * g equals c, expanded on the primitive parts.
-
-        Each factor is split first into its content and primitive part
-        (`split_content`), f = c_f * f^ and g = c_g * g^, so the sum is
-        sum m * f^ * g^ with m = c_f * c_g.  M, the gcd of the m, divides
-        the sum, so it must divide c; plain factors of an identity carry
-        nearly all of their size in a content they share, and this strips it
-        in one division.  A screen at x = 1 (sums of coefficients) rejects
-        most false identities at once; what passes is the generic
-        expand-and-compare of sum (m / M) * f^ * g^ against c / M.
-        """
-        split = []
-        for fs, gs in pairs:
-            if fs and gs:
-                cf, fs = self.split_content(fs)
-                cg, gs = self.split_content(gs)
-                split.append((cf * cg, fs, gs))
-        if not split:
-            return c == 0
-        M = gcd(*(m for m, _, _ in split))
-        c, r = divmod(c, M)
-        if r:
-            return False
-        split = [(m // M, fs, gs) for m, fs, gs in split]
-        if sum(m * sum(fs) * sum(gs) for m, fs, gs in split) != c:
-            return False
-        return super().inner_is_constant(
-            [(fs if m == 1 else [m * x for x in fs], gs) for m, fs, gs in split], c)
-
     def coerce(self, x):
         if not isinstance(x, int):
             raise DomainError("cannot coerce %r into the integers" % (x,))
@@ -441,15 +417,13 @@ class GFpPolyRing(Domain):
     Values are tuples of ints in [0, p-1], ascending in y, with no trailing
     zeros; the zero polynomial is the empty tuple.  A principal ideal domain,
     so the Bezout machinery applies to (GF(p)[y])[x], i.e. bivariate inputs.
+    `base` is GF(p), whose list kernel runs every product of y-polynomials.
     """
 
     is_field = False
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise DomainError("modulus %r is not prime" % (p,))
-        if p >= 2**31:
-            raise DomainError("modulus too large (p < 2^31 required)")
+        self.base = GFp(p)
         self.p = p
         self.zero = ()
         self.one = (1,)
@@ -479,7 +453,7 @@ class GFpPolyRing(Domain):
         return tuple((-c) % self.p for c in a)
 
     def mul(self, a, b):
-        """One `inner_mod` of the y-coefficient lists (packed above its crossover).
+        """The base field's product of the y-coefficient lists (`GFp.polymul`).
 
         The engine's nabla products call this; its discrepancies and updates
         are packed sums (`dot`, `axpy`) that do not.  The product of two
@@ -487,10 +461,10 @@ class GFpPolyRing(Domain):
         """
         if not a or not b:
             return ()
-        return tuple(inner_mod(((a, b),), self.p, len(a) + len(b) - 1))
+        return tuple(self.base.polymul(a, b))
 
     def dot(self, cs, ts):
-        """sum c_k * t_k as one `inner_mod` over the pairs of nonzero factors.
+        """sum c_k * t_k as one `GFp.inner` over the pairs of nonzero factors.
 
         Each product of y-polynomials is one pair of the packed sum, which
         adds them as ints and reduces each y-coefficient once, in place of
@@ -499,17 +473,18 @@ class GFpPolyRing(Domain):
         pairs = [(c, t) for c, t in zip(cs, ts) if c and t]
         if not pairs:
             return ()
-        return self._trim(inner_mod(pairs, self.p, max(len(c) + len(t) for c, t in pairs) - 1))
+        return self._trim(self.base.inner(pairs, max(len(c) + len(t) for c, t in pairs) - 1))
 
     def axpy(self, a, e, fs, b, e2, gs):
         """a * x^e * f + b * x^e2 * g as one `inner`, trimmed.
 
-        x^e * a is the x-polynomial (0, ..., 0, a), so the update is the
-        sum of its product with f and that of x^e2 * b with g.  The packed
-        products are not `mul` calls, so a `count_mults` pass counts none
-        for the update.
+        Each scalar goes in as the x-constant (a,), its factor shifted to
+        x^e * f, so the update is the sum of the two products and a scalar
+        packs as itself.  The packed products are not `mul` calls, so a
+        `count_mults` pass counts none for the update.
         """
-        pairs = [(((),) * k + (s,), hs) for s, k, hs in ((a, e, fs), (b, e2, gs)) if s and hs]
+        pairs = [((s,), ((),) * k + tuple(hs)) for s, k, hs in ((a, e, fs), (b, e2, gs))
+                 if s and hs]
         if not pairs:
             return []
         out = self.inner(pairs, max(len(s) + len(hs) for s, hs in pairs) - 1)
@@ -518,7 +493,7 @@ class GFpPolyRing(Domain):
         return out
 
     def inner(self, pairs, n):
-        """The sum of f * g over x-polynomials, as one `inner_mod` over GF(p).
+        """The sum of f * g over x-polynomials, as one `inner` of the base field.
 
         Substituting x = y^D, with D above every product's y-degree, turns
         each factor into one GF(p) coefficient list, each x-coefficient but
@@ -526,20 +501,11 @@ class GFpPolyRing(Domain):
         sum share a slot: x-coefficient k of the sum is the k-th D-slot
         chunk, trimmed.  A chunk whose top slot is nonzero needs no trim,
         and most chunks of a true identity are zero, which `any` finds
-        without a trim.  The first factor's leading zero x-coefficients, a
-        power x^k, go as k * D zero slots in front of the second, so that
-        `axpy`'s shifted scalars pack as the scalars alone: padded, a scalar
-        would fill (k + 1) * D slots, and the products a slot adds up would
-        no longer be bounded by its length.
+        without a trim.
         """
         D = max(max(map(len, fs)) + max(map(len, gs)) for fs, gs in pairs) - 1
-        flat = []
-        for fs, gs in pairs:
-            k = 0
-            while not fs[k]:
-                k += 1
-            flat.append((self._flatten(fs[k:], D), self._flatten(gs, D, k)))
-        total = inner_mod(flat, self.p, max(len(f) + len(g) for f, g in flat) - 1)
+        flat = [(self._flatten(fs, D), self._flatten(gs, D)) for fs, gs in pairs]
+        total = self.base.inner(flat, max(len(f) + len(g) for f, g in flat) - 1)
         out = []
         for i in range(0, n * D, D):
             c = total[i:i + D]
@@ -547,13 +513,12 @@ class GFpPolyRing(Domain):
         return out
 
     @staticmethod
-    def _flatten(cs, D, shift=0):
-        """cs with x = y^D as one GF(p) list after shift * D zero slots: each
-        x-coefficient but the last padded to D y-coefficients.  A lone
-        unshifted x-coefficient comes back as it is."""
-        if len(cs) == 1 and not shift:
+    def _flatten(cs, D):
+        """cs with x = y^D as one GF(p) list: each x-coefficient but the last
+        padded to D y-coefficients.  A lone x-coefficient comes back as it is."""
+        if len(cs) == 1:
             return cs[0]
-        flat, pad = [0] * (shift * D), (0,) * D
+        flat, pad = [], (0,) * D
         for c in cs[:-1]:
             flat += c
             flat += pad[len(c):]

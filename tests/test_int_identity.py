@@ -1,24 +1,26 @@
 """The integers' identity check: the content split, then one expansion.
 
-`IntegerRing.inner_is_constant` splits every factor into its content and
-primitive part, divides out M, the gcd of the pairs' c_f * c_g (M must
-divide c), screens at x = 1, and then expands sum (c_f * c_g / M) * f^ * g^
-with the integers' int loop `IntegerRing.inner` and compares it with c / M.
-It is checked here against `util.verify_pair_identity`, which multiplies
-the whole factors (`poly.mul`) and compares the sum as a polynomial, and
-against the generic route `Domain.inner_is_constant`, which expands
-without the split (the int loop itself is checked against the schoolbook
-`Domain.inner` in test_kernels): on the engine's true identities, on the
-same identities made false by one unit, on false identities that a check
-by evaluation at a few points could accept (differences that vanish at the
-first D small integers, at x = 1 and at a power of two, or with a
-coefficient at exactly +-B, the bound a one-point check at 2^k > 2B uses),
-on a common content that does not divide c, on pairs that cancel, on
-factors with large contents (made false in ways that keep those contents)
-and on factors whose content is 1.  The engine's views record their
-content (`poly.ScaledPoly`), which `verify_identity` reads in place of the
-gcds; the records are checked to be sound and to give the plain copies'
-verdict.
+On plain factors `verify_identity` splits every factor into its content and
+primitive part (`IntegerRing.split_content`), divides out M, the gcd of the
+pairs' c_f * c_g (M must divide c), and then expands
+sum (c_f * c_g / M) * f^ * g^ with the integers' int loop
+`IntegerRing.inner` and compares it with c / M (`Domain.inner_is_constant`).
+That split route, taken on plain `PairedPoly`s, is checked here against
+`util.verify_pair_identity`, which multiplies the whole factors
+(`poly.mul`) and compares the sum as a polynomial, and against
+`Domain.inner_is_constant` alone, which expands without the split (the int
+loop itself is checked against the schoolbook `Domain.inner` in
+test_kernels): on the engine's true identities, on the same identities
+made false by one unit, on false identities that a check by evaluation at
+a few points could accept (differences that vanish at the first D small
+integers, at x = 1 and at a power of two, or with a coefficient at exactly
++-B, the bound a one-point check at 2^k > 2B uses), on a common content
+that does not divide c, on pairs that cancel, on factors with large
+contents (made false in ways that keep those contents) and on factors
+whose content is 1.  The engine's views record their content
+(`poly.ScaledPoly`), which `verify_identity` reads in place of the split;
+the records are checked to be sound, to give the plain copies' verdict and
+to cost no split at all.
 """
 
 from math import gcd
@@ -54,11 +56,17 @@ def _pair(f, f2):
     return PairedPoly(Poly(Z, f), Poly(Z, f2))
 
 
+def _plain(p: PairedPoly) -> PairedPoly:
+    return PairedPoly(Poly(Z, p.f.coeffs), Poly(Z, p.f2.coeffs))
+
+
 def _checks_agree(a, b, c):
-    """The split check, the generic expansion and the reference agree."""
+    """`verify_identity` as given and on plain copies (the split route), the
+    expansion without the split and the reference agree."""
     want = verify_pair_identity(a, b, c)
     pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
     assert verify_identity(a, b, c) == want
+    assert verify_identity(_plain(a), _plain(b), c) == want
     assert Domain.inner_is_constant(Z, pairs, c) == want
     return want
 
@@ -173,7 +181,8 @@ def test_zero_factors_and_constants():
     assert not _checks_agree(PairedPoly(zero, zero), PairedPoly(f, f), 1)
     assert _checks_agree(PairedPoly(f, zero), PairedPoly(zero, f), 0)
     assert not _checks_agree(PairedPoly(f, zero), PairedPoly(one, f), 0)
-    assert Z.inner_is_constant([], 0) and not Z.inner_is_constant([], 5)
+    assert verify_identity(PairedPoly(zero, zero), PairedPoly(zero, zero), 0)
+    assert not verify_identity(PairedPoly(zero, zero), PairedPoly(zero, zero), 5)
     # D = 0: constants only
     a, b = _pair([3], [0]), _pair([5], [7])
     assert _checks_agree(a, b, 15)
@@ -295,8 +304,9 @@ def test_difference_at_exactly_plus_minus_B():
     f = M K (1, -1, ..., -1) with r entries -1, g = (K) and
     c = -M K^2 (r - 1).  Once the common content M K^2 is divided out, the
     difference is r - x - ... - x^r: its constant term is exactly
-    B = |c / (M K^2)| + 1 = r, and it is 0 at x = 1, so the screen passes
-    and the check must reject it.  The signs flipped give -B.
+    B = |c / (M K^2)| + 1 = r, and it is 0 at x = 1, so a screen by the sums
+    of the coefficients would pass it; the check must reject it.  The signs
+    flipped give -B.
     """
     for K in (1, 2, 3, 255, 256, 2**31 - 1, 3**50):
         for r in (1, 2, 3, 7, 40):
@@ -311,7 +321,7 @@ def test_difference_at_exactly_plus_minus_B():
 
 @pytest.mark.parametrize("t", [1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 63, 64, 65, 200])
 def test_difference_vanishing_at_one_and_at_a_power_of_two(t):
-    """d = (x - 1)(x - 2^t) passes the screen at x = 1 and vanishes at 2^t.
+    """d = (x - 1)(x - 2^t) vanishes at x = 1 and at 2^t.
 
     With c = 0 the coefficient bound B is 2^t + 1, so a point 2^k chosen
     only above B / 2 could be 2^t itself and accept it.  A nonzero c moves
@@ -346,7 +356,8 @@ def test_pairs_cancelling_to_zero():
 
 
 def test_false_identities_that_pass_the_screen():
-    """The engine's identities with a.f moved by (x - 1) x^i: false, yet 0 at x = 1."""
+    """The engine's identities with a.f moved by (x - 1) x^i: false, yet 0 at
+    x = 1, where a screen by the sums of the coefficients would pass them."""
     rng = seeded(618)
     for n in range(2, 26):
         res = minimal_realisation(SequenceView(Z, [rng.choice(TERMS) for _ in range(n)]))
@@ -394,10 +405,6 @@ def _views(res):
     """Every polynomial of a result that the engine's views form."""
     return [res.mu.f, res.mu.f2, res.mu_prime.f, res.mu_prime.f2,
             res.bez_numu.f, res.bez_numu.f2, res.bez_fg.f, res.bez_fg.f2]
-
-
-def _plain(p: PairedPoly) -> PairedPoly:
-    return PairedPoly(Poly(Z, p.f.coeffs), Poly(Z, p.f2.coeffs))
 
 
 def test_views_record_their_content_soundly():
@@ -478,3 +485,42 @@ def test_recorded_contents_must_divide_expected():
     for c in (421, 419, 210, 630, -420, 0, 2):
         assert not verify_identity(a, b, c)
         assert not verify_identity(_plain(a), _plain(b), c)
+
+
+def test_each_content_is_stripped_once(monkeypatch):
+    """On the engine's recorded views `verify_identity` makes no
+    `split_content` call: the records hold every content.  On plain pairs it
+    splits each factor of a pair of nonzero factors exactly once, and then
+    the pairs' products of contents once, for their common content M; a
+    factor whose partner is zero is not split."""
+    calls = []
+    real = IntegerRing.split_content
+    monkeypatch.setattr(IntegerRing, "split_content",
+                        lambda self, cs: calls.append(cs) or real(self, cs))
+    rng = seeded(620)
+    recorded = 0
+    for n in range(6, 22):
+        res = minimal_realisation(SequenceView(Z, [rng.choice(TERMS) for _ in range(n)]))
+        mu_fg = PairedPoly(res.mu.f, res.mu_prime.f)
+        for a, b in ((res.bez_numu, res.mu), (res.bez_fg, mu_fg)):
+            if _recorded_contents(a, b) is None:
+                continue
+            recorded += 1
+            del calls[:]
+            assert verify_identity(a, b, res.nabla)
+            assert not verify_identity(a, b, res.nabla + 1)
+            assert calls == []
+            a, b = _plain(a), _plain(b)
+            factors = [p.coeffs for p in (a.f, b.f, a.f2, b.f2)]
+            assert all(factors)
+            del calls[:]
+            assert verify_identity(a, b, res.nabla)
+            assert [sum(c is cs for c in calls) for cs in factors] == [1, 1, 1, 1]
+            assert len(calls) == 5 and len(calls[-1]) == 2
+    assert recorded > 20
+    f, g, h = Poly(Z, [6, 4]), Poly(Z, [9, 3]), Poly(Z, [10, 5])
+    a, b = PairedPoly(f, Poly.zero(Z)), PairedPoly(g, h)
+    del calls[:]
+    assert verify_identity(a, b, 6 * 5) == verify_pair_identity(a, b, 6 * 5)
+    assert [sum(c is cs for c in calls) for cs in (f.coeffs, g.coeffs, h.coeffs)] == [1, 1, 0]
+    assert len(calls) == 3 and calls[-1] == [6]
