@@ -15,8 +15,9 @@ from .poly import Poly, divmod_field, poly_from_bits
 from .ring import DomainError, GFp
 from .sequence import SequenceView, bits_from_sequence
 
-# search limits keeping the q^(d+1) enumeration affordable
-_MAX_N = {2: 12, 3: 8}
+# the search enumerates up to p^n candidates per lead; p^n <= 3^8 keeps
+# GF(2) at n <= 12 and GF(3) at n <= 8
+_BUDGET = 3**8
 
 
 def brute_min_annihilator(s: SequenceView, require_nonzero_constant: bool = False):
@@ -33,8 +34,9 @@ def brute_min_annihilator(s: SequenceView, require_nonzero_constant: bool = Fals
         raise DomainError("brute-force search only supports prime fields")
     p = dom.p
     n = len(s)
-    if n > _MAX_N.get(p, 0):
-        raise DomainError("sequence too long for brute force over GF(%d)" % p)
+    if p**n > _BUDGET:
+        raise DomainError("sequence too long for brute force over GF(%d): "
+                          "it needs p^n <= 3^8, and %d^%d > 3^8" % (p, p, n))
     if s.is_zero():
         return 0, {Poly.constant(dom, c) for c in range(1, p)}, True
     if p == 2:

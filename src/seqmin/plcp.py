@@ -90,31 +90,27 @@ def plcp_mr_specialized(s: SequenceView) -> PairedPoly:
     n = len(s)
     if n < 1:
         raise ValueError("empty sequence")
-    hist = {0: PairedPoly(Poly.one(dom), Poly.zero(dom))}
-    hist[-1] = PairedPoly(Poly.zero(dom), Poly.constant(dom, dom.neg(dom.one)))
-    hist[-2] = hist[-1]  # only the j=1 step reads below index 0
-    deltas = {0: dom.one}
+    # the pairs one, two and three steps back and the discrepancies one and
+    # two steps back; before step 1 they are (1, 0), (0, -1), (0, -1), 1, 1
+    minus_one = PairedPoly(Poly.zero(dom), Poly.constant(dom, dom.neg(dom.one)))
+    prev, back2, back3 = PairedPoly(Poly.one(dom), Poly.zero(dom)), minus_one, minus_one
+    d1 = d2 = dom.one
     for j in range(1, n + 1):
-        prev = hist[j - 1]
         d = discrepancy(prev.f, s.prefix(j))
-        deltas[j] = d
         if j % 2 == 1:
             if dom.is_zero(d):
                 raise DomainError("sequence does not have a perfect profile")
-            dp = deltas.get(j - 2, dom.one) if j > 1 else dom.one
-            hist[j] = pair_add_scaled(dp, 1, prev, dom.neg(d), 0, hist[j - 3])
+            new = pair_add_scaled(d2, 1, prev, dom.neg(d), 0, back3)
+        elif dom.is_zero(d):
+            new = prev
         else:
-            if dom.is_zero(d):
-                hist[j] = prev
-            else:
-                hist[j] = pair_add_scaled(
-                    deltas[j - 1], 0, prev, dom.neg(d), 0, hist[j - 2]
-                )
-    result = hist[n]
+            new = pair_add_scaled(d1, 0, prev, dom.neg(d), 0, back2)
+        prev, back2, back3 = new, prev, back2
+        d1, d2 = d, d1
     general = run(s).mu
-    if result != general:
+    if prev != general:
         raise AssertionError("specialized recursion diverged from the engine")
-    return result
+    return prev
 
 
 def random_plcp_sequence(dom: GFp, n: int, rng) -> SequenceView:

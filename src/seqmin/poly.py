@@ -224,15 +224,14 @@ def pseudo_divide(f: Poly, g: Poly):
     dg = g.degree()
     q = Poly.zero(dom)
     r = f
+    scale = dom.one
     for k in range(f.degree() - dg, -1, -1):
-        if r.degree() is not None and r.degree() == dg + k:
-            t = r.lead()
-            q = add_scaled(ell, 0, q, t, k, Poly.one(dom))
-            r = add_scaled(ell, 0, r, dom.neg(t), k, g)
-        else:
-            q = q.scale(ell)
-            r = r.scale(ell)
-    scale = dom.pow(ell, f.degree() - dg + 1)
+        # t = 0 once the degree of r has dropped below dg + k; then the
+        # update only multiplies q and r by ell (axpy skips a zero scalar)
+        t = r.coeff(dg + k)
+        q = add_scaled(ell, 0, q, t, k, Poly.one(dom))
+        r = add_scaled(ell, 0, r, dom.neg(t), k, g)
+        scale = dom.mul(ell, scale)
     return q, r, scale
 
 

@@ -245,14 +245,6 @@ class Domain:
         """
         return self.one, cs
 
-    def pow(self, a, k: int):
-        if k < 0:
-            raise DomainError("negative exponent")
-        r = self.one
-        for _ in range(k):
-            r = self.mul(r, a)
-        return r
-
     def is_zero(self, a) -> bool:
         return a == self.zero
 
@@ -316,11 +308,6 @@ class GFp(Domain):
         """`inner_mod`: one packed sum reduced mod p (schoolbook for one small pair)."""
         return inner_mod(pairs, self.p, n)
 
-    def pow(self, a, k):
-        if k < 0:
-            raise DomainError("negative exponent")
-        return pow(a, k, self.p)
-
     def coerce(self, x):
         if not isinstance(x, int):
             raise DomainError("cannot coerce %r into GF(%d)" % (x, self.p))
@@ -365,11 +352,6 @@ class IntegerRing(Domain):
 
     def mul(self, a, b):
         return a * b
-
-    def pow(self, a, k):
-        if k < 0:
-            raise DomainError("negative exponent")
-        return a**k
 
     def split_content(self, cs):
         """(g, [c // g for c in cs]) with g > 0 the gcd of cs.

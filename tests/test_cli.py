@@ -162,6 +162,38 @@ def test_annihilator_text(capsys):
     assert "oracle agreement: True" in out
 
 
+def test_annihilator_oracle_over_gf7_and_gf5(capsys):
+    # over GF(p) the search runs while p^n <= 3^8: GF(7) up to 4 terms,
+    # GF(5) up to 5 terms
+    for ring, seq in (("gfp:7", "1,2,3"), ("gfp:5", "1,2,3,4,0")):
+        code, out, _ = run_cli(
+            capsys, "annihilator", "--ring", ring, "--seq", seq, "--oracle", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+    code, _, err = run_cli(
+        capsys, "annihilator", "--ring", "gfp:5", "--seq", "1,2,3,4,0,1", "--oracle"
+    )
+    assert code == 2
+    assert "5^6 > 3^8" in err
+
+
+def test_annihilator_oracle_rejects_a_non_annihilator(capsys, monkeypatch):
+    import seqmin.annihilator as ann
+
+    def x5_plus_1(s, eps=None):
+        # degree 5 = LC-bullet and a nonzero constant term, but s_1 + s_6 = 1
+        return PairedPoly(Poly(s.dom, [1, 0, 0, 0, 0, 1]), Poly.zero(s.dom))
+
+    monkeypatch.setattr(ann, "min_nonvanishing", x5_plus_1)
+    code, out, _ = run_cli(
+        capsys, "annihilator", "--seq", "0,1,1,0,0,1,0,1", "--oracle"
+    )
+    assert code == 1
+    assert "degree    = 5" in out
+    assert "oracle agreement: False" in out
+
+
 def test_annihilator_extend_json(capsys):
     code, out, _ = run_cli(
         capsys, "annihilator", "--seq", "0,1,1,0,0,1,0,1", "--extend", "--json"

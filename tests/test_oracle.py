@@ -57,6 +57,16 @@ def test_brute_rejects_large_inputs():
         brute_min_annihilator(SequenceView(IntegerRing(), [1, 2]))
 
 
+def test_brute_size_rule():
+    # p^n <= 3^8: GF(2) up to n = 12 and GF(3) up to n = 8 as before, GF(5)
+    # up to n = 5; 0, ..., 0, 1 has LC = n, the deepest search at each bound
+    for dom, n in ((F2, 12), (F3, 8), (GFp(5), 5)):
+        d, _, _ = brute_min_annihilator(SequenceView(dom, [0] * (n - 1) + [1]))
+        assert d == n
+        with pytest.raises(DomainError, match=r"needs p\^n <= 3\^8"):
+            brute_min_annihilator(SequenceView(dom, [0] * n + [1]))
+
+
 def test_ext_euclid_example():
     g, a, a2 = ext_euclid(parse_poly(F2, "1,0,0,1"), parse_poly(F2, "1,0,1"))
     assert g == parse_poly(F2, "1,1")

@@ -16,6 +16,7 @@ from seqmin.poly import (
 )
 from seqmin.ring import GF2, GFp, GFpPolyRing, DomainError, DomainMismatchError, IntegerRing
 from seqmin.sequence import SequenceView
+from util import seeded
 
 GF2_ = GF2()
 Z = IntegerRing()
@@ -122,6 +123,85 @@ def test_pseudo_divide_over_integers():
     assert add_scaled(scale, 0, f, -1, 0, mul(q, g)) == r
     assert r.degree() < g.degree()
     assert scale == 3 ** (f.degree() - g.degree() + 1)
+
+
+def _pseudo_divide_two_branch(f, g):
+    """Pseudo-division as a two-branch loop: a reduction step when r still
+    has degree dg + k, else q and r only multiplied by ell; ell^k is formed
+    afterwards by repeated products."""
+    dom = f.dom
+    if f.is_zero() or f.degree() < g.degree():
+        return Poly.zero(dom), f, dom.one
+    ell = g.lead()
+    dg = g.degree()
+    q = Poly.zero(dom)
+    r = f
+    for k in range(f.degree() - dg, -1, -1):
+        if r.degree() is not None and r.degree() == dg + k:
+            t = r.lead()
+            q = add_scaled(ell, 0, q, t, k, Poly.one(dom))
+            r = add_scaled(ell, 0, r, dom.neg(t), k, g)
+        else:
+            q = q.scale(ell)
+            r = r.scale(ell)
+    scale = dom.one
+    for _ in range(f.degree() - dg + 1):
+        scale = dom.mul(scale, ell)
+    return q, r, scale
+
+
+def _random_coeff(dom, rng):
+    """A random canonical coefficient, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return dom.zero
+    if isinstance(dom, IntegerRing):
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+    if isinstance(dom, GFpPolyRing):
+        return dom.coerce([rng.randrange(dom.p) for _ in range(rng.randint(1, 3))])
+    return dom.coerce(rng.randrange(dom.p))
+
+
+def _random_poly(dom, deg, rng):
+    """A polynomial of exactly degree deg with random lower coefficients."""
+    lead = dom.zero
+    while dom.is_zero(lead):
+        lead = _random_coeff(dom, rng)
+    return Poly(dom, [_random_coeff(dom, rng) for _ in range(deg)] + [lead])
+
+
+def test_pseudo_divide_matches_the_two_branch_loop():
+    """The one-update loop gives the two-branch loop's (q, r, scale) exactly.
+
+    Over GF(2), GF(7), Z and GF(3)[y], on random f and g of four kinds:
+    deg f >= deg g, deg f < deg g, constant g, and f a multiple of g (so
+    the degree of r drops early).  Coefficients are zero a third of the
+    time, which puts interior zeros in f and g and the zero y-polynomial
+    () in GF(3)[y]'s.
+    """
+    rng = seeded(17)
+    kinds = ("general", "low", "constant g", "multiple")
+    seen = {"inputs": 0, "interior zero": 0, "zero y-polynomial": 0, "early drop": 0}
+    for dom in (GF2_, GFp(7), Z, GFpPolyRing(3)):
+        for i in range(560):
+            kind = kinds[i % 4]
+            dg = 0 if kind == "constant g" else rng.randint(1, 4)
+            g = _random_poly(dom, dg, rng)
+            if kind == "low":
+                f = _random_poly(dom, rng.randint(0, dg - 1), rng)
+            elif kind == "multiple":
+                f = mul(_random_poly(dom, rng.randint(0, 4), rng), g)
+            else:
+                f = _random_poly(dom, rng.randint(dg, dg + 6), rng)
+            q, r, scale = pseudo_divide(f, g)
+            assert (q, r, scale) == _pseudo_divide_two_branch(f, g)
+            assert add_scaled(scale, 0, f, dom.neg(dom.one), 0, mul(q, g)) == r
+            assert r.is_zero() or r.degree() < g.degree()
+            seen["inputs"] += 1
+            seen["interior zero"] += any(dom.is_zero(c) for c in f.coeffs)
+            seen["zero y-polynomial"] += () in f.coeffs + g.coeffs
+            seen["early drop"] += kind == "multiple" and f.degree() > dg
+    assert seen["inputs"] >= 2000
+    assert min(seen.values()) >= 100, seen
 
 
 def test_pseudo_divide_trivial_cases():

@@ -30,7 +30,6 @@ def test_gfp_arithmetic():
     assert F.neg(3) == 4
     assert F.mul(3, 5) == 1
     assert F.inv(3) == 5
-    assert F.pow(3, 6) == 1
     with pytest.raises(DomainError):
         F.inv(0)
 
@@ -53,7 +52,6 @@ def test_gf2_descriptor():
 def test_integers_have_no_inverses():
     Z = IntegerRing()
     assert Z.mul(-3, 4) == -12
-    assert Z.pow(2, 10) == 1024
     with pytest.raises(DomainError):
         Z.inv(2)
 
