@@ -80,7 +80,8 @@ def build_parser():
     p.add_argument("--extend", action="store_true",
                    help="use the one-term sequence extension")
     p.add_argument("--oracle", action="store_true",
-                   help="check the answer by brute force over GF(p) (p^n <= 3^8)")
+                   help="check the answer by brute force over GF(p) "
+                        "(p^n <= 3^8 and p^(n+1) <= 3^9)")
 
     p = sub.add_parser("reverse-lc", help="complexity of the reversed sequence")
     _add_common(p)

@@ -15,8 +15,9 @@ from .poly import Poly, divmod_field, poly_from_bits
 from .ring import DomainError, GFp
 from .sequence import SequenceView, bits_from_sequence
 
-# the search enumerates up to p^n candidates per lead; p^n <= 3^8 keeps
-# GF(2) at n <= 12 and GF(3) at n <= 8
+# a search over n terms tries p^(n+1) - 1 candidates (p^d tails times p - 1
+# leads at each degree d <= n); p^(n+1) <= 3^9 bounds that count, and
+# p^n <= 3^8 also keeps the bit-packed GF(2) search at n <= 12
 _BUDGET = 3**8
 
 
@@ -34,9 +35,9 @@ def brute_min_annihilator(s: SequenceView, require_nonzero_constant: bool = Fals
         raise DomainError("brute-force search only supports prime fields")
     p = dom.p
     n = len(s)
-    if p**n > _BUDGET:
-        raise DomainError("sequence too long for brute force over GF(%d): "
-                          "it needs p^n <= 3^8, and %d^%d > 3^8" % (p, p, n))
+    if p**n > _BUDGET or p ** (n + 1) > 3 * _BUDGET:
+        raise DomainError("sequence too long for brute force over GF(%d): it "
+                          "needs p^n <= 3^8 and p^(n+1) <= 3^9, and n = %d" % (p, n))
     if s.is_zero():
         return 0, {Poly.constant(dom, c) for c in range(1, p)}, True
     if p == 2:

@@ -162,20 +162,19 @@ def test_annihilator_text(capsys):
     assert "oracle agreement: True" in out
 
 
-def test_annihilator_oracle_over_gf7_and_gf5(capsys):
-    # over GF(p) the search runs while p^n <= 3^8: GF(7) up to 4 terms,
-    # GF(5) up to 5 terms
-    for ring, seq in (("gfp:7", "1,2,3"), ("gfp:5", "1,2,3,4,0")):
-        code, out, _ = run_cli(
-            capsys, "annihilator", "--ring", ring, "--seq", seq, "--oracle", "--json"
-        )
-        assert code == 0
-        assert json.loads(out)["verified"] is True
+def test_annihilator_oracle_over_gf7_and_gf1009(capsys):
+    # GF(7) allows 4 terms; GF(1009) allows none, since even one term
+    # means 1009^2 - 1 candidates
+    code, out, _ = run_cli(
+        capsys, "annihilator", "--ring", "gfp:7", "--seq", "1,2,3", "--oracle", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["verified"] is True
     code, _, err = run_cli(
-        capsys, "annihilator", "--ring", "gfp:5", "--seq", "1,2,3,4,0,1", "--oracle"
+        capsys, "annihilator", "--ring", "gfp:1009", "--seq", "1", "--oracle"
     )
     assert code == 2
-    assert "5^6 > 3^8" in err
+    assert "GF(1009): it needs p^n <= 3^8 and p^(n+1) <= 3^9, and n = 1" in err
 
 
 def test_annihilator_oracle_rejects_a_non_annihilator(capsys, monkeypatch):

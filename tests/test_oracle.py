@@ -58,13 +58,20 @@ def test_brute_rejects_large_inputs():
 
 
 def test_brute_size_rule():
-    # p^n <= 3^8: GF(2) up to n = 12 and GF(3) up to n = 8 as before, GF(5)
-    # up to n = 5; 0, ..., 0, 1 has LC = n, the deepest search at each bound
-    for dom, n in ((F2, 12), (F3, 8), (GFp(5), 5)):
+    # p^n <= 3^8 and p^(n+1) <= 3^9: GF(3) up to n = 8 as before, GF(5) up to
+    # 5, GF(7) up to 4, GF(11) up to 3, GF(13) up to 2 (GF(2)'s n <= 12 is
+    # pinned above and by the exhaustive oracle criterion); 0, ..., 0, 1 has
+    # LC = n, the deepest search at each bound
+    for p, n in ((3, 8), (5, 5), (7, 4), (11, 3), (13, 2)):
+        dom = GFp(p)
         d, _, _ = brute_min_annihilator(SequenceView(dom, [0] * (n - 1) + [1]))
         assert d == n
-        with pytest.raises(DomainError, match=r"needs p\^n <= 3\^8"):
+        with pytest.raises(DomainError, match=r"p\^\(n\+1\) <= 3\^9, and n = %d" % (n + 1)):
             brute_min_annihilator(SequenceView(dom, [0] * n + [1]))
+    # a search over one term still tries p^2 - 1 candidates
+    for p in (1009, 6553):
+        with pytest.raises(DomainError, match="too long"):
+            brute_min_annihilator(SequenceView(GFp(p), [1]))
 
 
 def test_ext_euclid_example():
