@@ -16,21 +16,23 @@ pairs of the realisation come out of the same pass with no work of their
 own.  `mr_scan` lets a caller watch that one pass: it yields the live state
 after every step, which is also where the result is read from at the end.
 
-Each pair is held factored, as a scalar content times a pair: mu = c * mu^
-and mu' = c' * mu^'.  The values are the paper's division-free ones; only
-the arithmetic is split.  Over the integers nearly all of a coefficient's
-size is a content the whole pair shares, so the engine updates the small
-mu^ and a few scalars; over a field and GF(p)[y] every content is one
-(`Domain.split_content`) and mu is mu^ itself.  The discrepancy delta' of
-the last jump is stored as that jump formed it, and each of mu and mu' is
-expanded at most once per value, when first read (`MRState`).
+Each pair is held factored, as a scalar content times a pair of bare
+coefficient lists: mu = c * mu^ and mu' = c' * mu^'.  The values are the
+paper's division-free ones; only the arithmetic is split.  Over the
+integers nearly all of a coefficient's size is a content the whole pair
+shares, so the engine updates the small mu^ and a few scalars; over a field
+and GF(p)[y] every content is one (`Domain.split_content`) and mu is mu^
+itself.  The discrepancy delta' of the last jump is stored as that jump
+formed it, and each of mu and mu' is built as a Poly pair at most once per
+value, when first read (`MRState`).
 
 Each step costs one discrepancy, the `Domain.dot` of mu^ with the last
-LC + 1 terms, and one `add_scaled` update (`Domain.axpy`) each of mu^ and
-mu2^, shared by both branches.  These are the domain's two scalar kernels:
-the generic loops over GF(2), GF(p) and the integers, one packed sum each
-over GF(p)[y], where the update is the list kernel `Domain.inner` of the
-shifted scalars and the factors.
+LC + 1 terms, one update (`Domain.axpy`) each of mu^ and mu2^, shared by
+both branches, and one `Domain.split_content` of both new lists together,
+all on the lists with no Poly built.  `dot` and `axpy` are the domain's two
+scalar kernels: the generic loops over GF(2), GF(p) and the integers, one
+packed sum each over GF(p)[y], where the update is the list kernel
+`Domain.inner` of the shifted scalars and the factors.
 Over the integers every view records its content (`poly.ScaledPoly`), so
 `verify_identity` takes c * c' from the records instead of re-deriving it
 by gcd.  `mr_gf2_scan` is the same recursion on bit-packed GF(2) ints;
@@ -42,13 +44,7 @@ from __future__ import annotations
 import copy
 from collections import namedtuple
 
-from .poly import (
-    PairedPoly,
-    Poly,
-    ScaledPoly,
-    add_scaled,
-    pair_add_scaled,
-)
+from .poly import PairedPoly, Poly, ScaledPoly, add_scaled
 from .ring import Domain, DomainError, check_same_domain
 from .sequence import SequenceView
 
@@ -89,13 +85,16 @@ class MRState:
     """Mutable engine state; one instance per sequence being consumed.
 
     `mr_step` updates the factors of mu = c * mu_hat and mu' = c_prime *
-    mu_hat_prime, and stores delta', the discrepancy of the last jump, when
-    that jump forms it.  `mu` and `mu_prime` are views of the products,
-    formed when first read (the factor itself while its content is one,
+    mu_hat_prime, each a pair of bare coefficient lists (fs, f2s), and
+    stores delta', the discrepancy of the last jump, when that jump forms
+    it.  `mu` and `mu_prime` are PairedPoly views of the products, built
+    when first read (Polys of the factor's lists while its content is one,
     always over a field or GF(p)[y]) and held in a slot: mu's is cleared
     whenever mu_hat or c changes; mu''s is cleared only at a jump, where it
-    takes over mu's, since the new mu' is the old mu.  `bez` is the view
-    (-mu2', mu2): both start at (1, 0) and share one update.
+    takes over mu's, since the new mu' is the old mu.  At a jump mu_hat'
+    takes over mu_hat's lists themselves; no list is written once formed.
+    `bez` is the view (-mu2', mu2): both start at (1, 0) and share one
+    update.
     """
 
     __slots__ = ("dom", "j", "e", "c", "mu_hat", "c_prime", "mu_hat_prime",
@@ -107,16 +106,14 @@ class MRState:
         self.dom = dom
         self.j, self.e, self.mults = 0, 1, 0
         self.c = self.c_prime = self.delta_hat_prime = self.delta_prime = self.nabla = dom.one
-        self.mu_hat = PairedPoly(Poly.one(dom), Poly.zero(dom))
-        self.mu_hat_prime = PairedPoly(
-            Poly.constant(dom, epsilon), Poly.constant(dom, dom.neg(dom.one))
-        )
+        self.mu_hat = ([dom.one], [])
+        self.mu_hat_prime = ([] if dom.is_zero(epsilon) else [epsilon], [dom.neg(dom.one)])
         self.steps, self.terms = [], []
         self._mu = self._mu_prime = None
 
     @property
     def lc(self) -> int:
-        return self.mu_hat.f.degree()
+        return len(self.mu_hat[0]) - 1
 
     @property
     def mu(self) -> PairedPoly:
@@ -160,12 +157,12 @@ def mr_step(st: MRState, s_next) -> MRState:
     s_next = dom.coerce(s_next)
     st.terms.append(s_next)
     j = st.j + 1
-    e = st.e
-    e_before = e
+    e = e_before = st.e
 
     # Delta = c * delta_hat, delta_hat = sum_{k=0}^{LC} mu_hat_k s_{k+(j+e)/2}
     # with LC = (j-e)/2: mu_hat against the last LC + 1 terms
-    delta_hat = dom.dot(st.mu_hat.f.coeffs, st.terms[(j + e) // 2 - 1:])
+    fs, f2s = st.mu_hat
+    delta_hat = dom.dot(fs, st.terms[(j + e) // 2 - 1:])
 
     delta = delta_hat
     jumped = False
@@ -173,10 +170,15 @@ def mr_step(st: MRState, s_next) -> MRState:
         delta = _mul(dom, st.c, delta_hat)
         # one update for both branches: Delta' x^up mu - Delta x^down mu'
         # with up = max(e, 0) and down = max(-e, 0), which is
-        # c c' (delta_hat' x^up mu_hat - delta_hat x^down mu_hat')
+        # c c' (delta_hat' x^up mu_hat - delta_hat x^down mu_hat'); the
+        # content g of both new lists moves into c
         up, down = (e, 0) if e > 0 else (0, -e)
-        g, mu_hat = _split_pair(dom, pair_add_scaled(
-            st.delta_hat_prime, up, st.mu_hat, dom.neg(delta_hat), down, st.mu_hat_prime))
+        (gs, g2s), a, b = st.mu_hat_prime, st.delta_hat_prime, dom.neg(delta_hat)
+        new = dom.axpy(a, up, fs, b, down, gs)
+        new2 = dom.axpy(a, up, f2s, b, down, g2s)
+        g, cs = dom.split_content(new + new2)
+        if g != dom.one:
+            new, new2 = cs[:len(new)], cs[len(new):]
         c = _mul(dom, _mul(dom, st.c, st.c_prime), g)
         jumped = e > 0
         if jumped:
@@ -186,7 +188,7 @@ def mr_step(st: MRState, s_next) -> MRState:
             e = -e
         else:
             st.nabla = dom.mul(st.delta_prime, st.nabla)
-        st.c, st.mu_hat, st._mu = c, mu_hat, None
+        st.c, st.mu_hat, st._mu = c, (new, new2), None
     st.e = e + 1
     st.j = j
     st.steps.append(StepRecord(delta, e_before, jumped))
@@ -202,19 +204,12 @@ def _mul(dom: Domain, a, b):
     return dom.mul(a, b)
 
 
-def _scaled(dom: Domain, c, p: PairedPoly) -> PairedPoly:
-    """c * p, each component recording (c, its factor); p itself when c is one."""
-    return p if c == dom.one else PairedPoly(ScaledPoly(c, p.f), ScaledPoly(c, p.f2))
-
-
-def _split_pair(dom: Domain, p: PairedPoly):
-    """(g, p / g), g the content of all of p's coefficients (`Domain.split_content`)."""
-    fs, f2s = p.f.coeffs, p.f2.coeffs
-    g, cs = dom.split_content(fs + f2s)
-    if g == dom.one:
-        return g, p
-    k = len(fs)
-    return g, PairedPoly(Poly(dom, cs[:k], _canonical=True), Poly(dom, cs[k:], _canonical=True))
+def _scaled(dom: Domain, c, pair) -> PairedPoly:
+    """c * pair as Polys, each recording (c, its factor) unless c is one."""
+    f, f2 = (Poly(dom, cs, _canonical=True) for cs in pair)
+    if c == dom.one:
+        return PairedPoly(f, f2)
+    return PairedPoly(ScaledPoly(c, f), ScaledPoly(c, f2))
 
 
 def partial_discrepancy(st: MRState):
@@ -264,9 +259,10 @@ def mr_scan(s: SequenceView, epsilon=None):
     """The engine's own state after each step j = 1..n, as one pass runs.
 
     Yields the same MRState every time, updated in place by the next step,
-    so read what a step needs before asking for the next one.  Its Poly and
-    PairedPoly values (fields and views) are immutable and replaced, never
-    changed, so a st.mu kept at step j still holds step j's value;
+    so read what a step needs before asking for the next one.  Its values
+    are replaced, never changed: the views are immutable PairedPolys and
+    the coefficient lists of mu^ and mu^' are never written once formed, so
+    a st.mu kept at step j still holds step j's value;
     st.steps[-1] is step j's record (the lists st.steps and st.terms keep
     growing).
     """

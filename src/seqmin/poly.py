@@ -1,9 +1,11 @@
 """Dense univariate polynomials over a domain, ascending coefficients.
 
 Arithmetic runs on the domain's kernels: `add_scaled` (a * x^e * f + b *
-x^e2 * g, the engine's update) on `Domain.axpy`, and `mul` on
-`Domain.polymul`, one `Domain.inner` of the two coefficient lists; the
-discrepancies of the sequence-facing helpers are `Domain.dot` sums.
+x^e2 * g, the update of pseudo-division, of the PLCP recursion and of
+`lfsr.next_identity`) on `Domain.axpy`, which the engine calls on its bare
+coefficient lists, and `mul` on `Domain.polymul`, one `Domain.inner` of the
+two coefficient lists; the discrepancies of the sequence-facing helpers are
+`Domain.dot` sums.
 `ScaledPoly` is a polynomial that records its content, c * base, as the
 engine's integer views do.  Also provides the Laurent-side helpers the
 sequence machinery needs: reciprocal, x-adic valuation, the polynomial part

@@ -20,8 +20,9 @@ no domain overrides them.  A content leaves an identity check in
 kernels and the content split itself (`Domain.split_content`).
 
 The engine's two scalar kernels are `Domain.dot`, a sum of products such as
-a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update
-(what `poly.add_scaled` calls).  GF(2), GF(p) and the integers run the
+a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update,
+which `lfsr.mr_step` calls on its bare coefficient lists and
+`poly.add_scaled` on a Poly's.  GF(2), GF(p) and the integers run the
 generic loops, one `mul` per product; GF(p)[y] forms the discrepancy as one
 `inner` of its base field and the update as one `inner` of its own.
 """
@@ -172,12 +173,12 @@ class Domain:
     def axpy(self, a, e: int, fs, b, e2: int, gs) -> list:
         """a * x^e * f + b * x^e2 * g as a trimmed coefficient list.
 
-        The engine's update kernel (`poly.add_scaled`).  a, b and every
-        coefficient of fs and gs are canonical; each output coefficient
-        comes out of `mul` and `add` on canonical values, so it is canonical
-        already and the list is only trimmed.  This generic loop is what
-        GF(2), GF(p) and the integers run, and the reference GFpPolyRing's
-        packed sum is tested against.
+        The engine's update kernel (`lfsr.mr_step`, `poly.add_scaled`).  a,
+        b and every coefficient of fs and gs are canonical; each output
+        coefficient comes out of `mul` and `add` on canonical values, so it
+        is canonical already and the list is only trimmed.  This generic
+        loop is what GF(2), GF(p) and the integers run, and the reference
+        GFpPolyRing's packed sum is tested against.
         """
         n = max(len(fs) + e, len(gs) + e2)
         out = [self.zero] * n

@@ -75,3 +75,20 @@ def test_views_read_at_some_steps_or_none(ring, with_epsilon):
             if rng.random() < 1 / 3:
                 assert_matches(st, want)
         assert_matches(st, ref[-1])
+
+
+@pytest.mark.parametrize("with_epsilon", [False, True])
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_views_kept_through_the_pass(ring, with_epsilon):
+    """The mu and mu' view objects taken at every step, compared after the pass.
+
+    mu^ and mu^' are bare lists, and at a jump mu^' takes over mu^'s lists
+    themselves; a view that shared a list the engine later wrote in place
+    would hold a later step's value here.
+    """
+    dom = domain_from_string(ring)
+    for terms, eps in seeded_inputs(ring, with_epsilon):
+        kept = [(st.mu, st.mu_prime) for st in mr_scan(SequenceView(dom, terms), eps)]
+        for (mu, mu_prime), want in zip(kept, divfree_mr(dom, terms, eps), strict=True):
+            assert (mu.f.coeffs, mu.f2.coeffs) == (want.mu, want.mu2)
+            assert (mu_prime.f.coeffs, mu_prime.f2.coeffs) == (want.mu_prime, want.mu2_prime)

@@ -61,6 +61,23 @@ def test_init_state():
     assert st.bez.f.coeffs == (1,)
 
 
+@pytest.mark.parametrize("ring, epsilon", [
+    ("gf2", None), ("gf2", 1), ("gfp:7", None), ("gfp:7", 3),
+    ("int", None), ("int", -2), ("gfp_poly:3", None), ("gfp_poly:3", (1, 2)),
+])
+def test_state_at_n0(ring, epsilon):
+    """mr_init and a pass over no terms: mu = (1, 0), mu' = (eps, -1), e = nabla = delta' = 1."""
+    dom = domain_from_string(ring)
+    one = Poly.one(dom)
+    eps = Poly.zero(dom) if epsilon is None else Poly.constant(dom, epsilon)
+    for st in (mr_init(dom, epsilon), run(SequenceView(dom, []), epsilon)):
+        assert st.mu == PairedPoly(one, Poly.zero(dom))
+        assert st.mu_prime == PairedPoly(eps, -one)
+        assert st.bez == PairedPoly(one, Poly.zero(dom))
+        assert (st.e, st.nabla, st.delta_prime, st.lc) == (1, dom.one, dom.one, 0)
+        assert st.j == 0 and st.steps == [] and st.terms == []
+
+
 def test_worked_example_full_state():
     st = run(S8)
     assert st.mu.f == pp("0,1,1,0,1")
