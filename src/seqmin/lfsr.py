@@ -344,10 +344,10 @@ def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
     be divisible by M.  Contents other than one arise over the integers
     alone, where they carry nearly all of a factor's size.
 
-    The domain then decides (`Domain.inner_is_constant`): it expands the
-    remaining sum with its list kernel `Domain.inner` and compares it with
-    expected / M coefficient by coefficient.  Every identity check of the
-    library runs through here.
+    The pairs of nonzero factors left are expanded once, by the domain's
+    list kernel `Domain.inner`, and the sum must read expected / M, 0, 0,
+    ... coefficient by coefficient.  Every identity check of the library
+    runs through here.
     """
     check_same_domain(a.dom, b.dom)
     dom = a.dom
@@ -369,7 +369,11 @@ def verify_identity(a: PairedPoly, b: PairedPoly, expected) -> bool:
         expected, r = divmod(expected, M)
         if r:
             return False
-    return dom.inner_is_constant(pairs, expected)
+    pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
+    if not pairs:
+        return dom.is_zero(expected)
+    total = dom.inner(pairs)
+    return total == [expected] + [dom.zero] * (len(total) - 1)
 
 
 def _recorded_contents(a: PairedPoly, b: PairedPoly):

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lfsr import (discrepancy, mr_gf2_scan, mr_init, mr_scan, mr_step,
-                   partial_discrepancy, read_step_log, run)
-from .poly import PairedPoly, Poly, mul, pair_add_scaled
+from .lfsr import (mr_gf2_scan, mr_init, mr_scan, mr_step, partial_discrepancy,
+                   read_step_log, run)
+from .poly import PairedPoly, Poly, add_scaled, mul
 from .ring import DomainError, GF2, GFp
 from .sequence import SequenceView, bits_from_sequence, sequence_from_bits
 
@@ -92,25 +92,26 @@ def plcp_mr_specialized(s: SequenceView) -> PairedPoly:
         raise ValueError("empty sequence")
     # the pairs one, two and three steps back and the discrepancies one and
     # two steps back; before step 1 they are (1, 0), (0, -1), (0, -1), 1, 1
-    minus_one = PairedPoly(Poly.zero(dom), Poly.constant(dom, dom.neg(dom.one)))
-    prev, back2, back3 = PairedPoly(Poly.one(dom), Poly.zero(dom)), minus_one, minus_one
+    minus_one = (Poly.zero(dom), Poly.constant(dom, dom.neg(dom.one)))
+    prev, back2, back3 = (Poly.one(dom), Poly.zero(dom)), minus_one, minus_one
     d1 = d2 = dom.one
     for j in range(1, n + 1):
-        d = discrepancy(prev.f, s.prefix(j))
-        if j % 2 == 1:
-            if dom.is_zero(d):
+        # deg prev = LC_{j-1} = floor(j/2) < j: prev against s_{j-deg}..s_j
+        fs = prev[0].coeffs
+        d = dom.dot(fs, s.terms[j - len(fs):j])
+        if dom.is_zero(d):
+            if j % 2 == 1:
                 raise DomainError("sequence does not have a perfect profile")
-            new = pair_add_scaled(d2, 1, prev, dom.neg(d), 0, back3)
-        elif dom.is_zero(d):
             new = prev
         else:
-            new = pair_add_scaled(d1, 0, prev, dom.neg(d), 0, back2)
+            a, e, back = (d2, 1, back3) if j % 2 == 1 else (d1, 0, back2)
+            new = tuple(add_scaled(a, e, f, dom.neg(d), 0, g) for f, g in zip(prev, back))
         prev, back2, back3 = new, prev, back2
         d1, d2 = d, d1
-    general = run(s).mu
-    if prev != general:
+    mu = PairedPoly(*prev)
+    if mu != run(s).mu:
         raise AssertionError("specialized recursion diverged from the engine")
-    return prev
+    return mu
 
 
 def random_plcp_sequence(dom: GFp, n: int, rng) -> SequenceView:

@@ -3,8 +3,8 @@
 Arithmetic runs on the domain's kernels: `add_scaled` (a * x^e * f + b *
 x^e2 * g, the update of pseudo-division, of the PLCP recursion and of
 `lfsr.next_identity`) on `Domain.axpy`, which the engine calls on its bare
-coefficient lists, and `mul` on `Domain.polymul`, one `Domain.inner` of the
-two coefficient lists; the discrepancies of the sequence-facing helpers are
+coefficient lists, and `mul` on `Domain.inner` of the one pair of
+coefficient lists; the discrepancies of the sequence-facing helpers are
 `Domain.dot` sums.
 `ScaledPoly` is a polynomial that records its content, c * base, as the
 engine's integer views do.  Also provides the Laurent-side helpers the
@@ -171,7 +171,7 @@ def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
 
 
 def mul(f: Poly, g: Poly) -> Poly:
-    """f * g through the domain's list kernel (`Domain.polymul`, one `Domain.inner`).
+    """f * g through the domain's list kernel, `Domain.inner` of the one pair.
 
     GF(2), GF(p) and GF(p)[y] pack each factor into one Python int and
     multiply once (`ring.inner_mod`, Kronecker substitution), so CPython's
@@ -184,7 +184,7 @@ def mul(f: Poly, g: Poly) -> Poly:
     dom = f.dom
     if f.is_zero() or g.is_zero():
         return Poly.zero(dom)
-    return Poly(dom, dom.polymul(f.coeffs, g.coeffs), _canonical=True)
+    return Poly(dom, dom.inner(((f.coeffs, g.coeffs),)), _canonical=True)
 
 
 def divmod_field(f: Poly, g: Poly):
@@ -272,14 +272,6 @@ class PairedPoly:
 
     def __repr__(self):
         return "(%s, %s)" % (format_poly(self.f), format_poly(self.f2))
-
-
-def pair_add_scaled(a, e: int, p: PairedPoly, b, e2: int, q: PairedPoly) -> PairedPoly:
-    """a * x^e * p + b * x^e2 * q, componentwise."""
-    return PairedPoly(
-        add_scaled(a, e, p.f, b, e2, q.f),
-        add_scaled(a, e, p.f2, b, e2, q.f2),
-    )
 
 
 # -- sequence-facing helpers -----------------------------------------

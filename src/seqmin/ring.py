@@ -6,18 +6,16 @@ for gfp_poly); the domain object carries the operations.  Mismatched-domain
 errors are raised wherever two domain-carrying containers meet (polynomials,
 sequences), since bare values do not know their domain.
 
-Each domain has one list kernel, `Domain.inner`: the sum of f * g over pairs
-of coefficient lists.  Its generic schoolbook loop, one `mul` per pair of
-nonzero coefficients, is the reference the others are tested against: the
-integers run it on ints with no method call per product, GF(p) forms the
-sum as one packed sum of products, `inner_mod`, and GF(p)[y] flattens it
-with x = y^D into one `inner` of its base field GF(p).  Whole products
-(`Domain.polymul`, what `poly.mul` calls) and identity checks
-(`Domain.inner_is_constant`, what `lfsr.verify_identity` calls, an
-expansion compared with the constant) are written once, on top of `inner`;
-no domain overrides them.  A content leaves an identity check in
-`lfsr.verify_identity`, not here: this module holds arithmetic, the list
-kernels and the content split itself (`Domain.split_content`).
+Each domain is arithmetic, the content split (`Domain.split_content`) and
+three list kernels.  `Domain.inner` is the sum of f * g over pairs of
+coefficient lists, as many coefficients as its longest product: one pair
+is a whole product (`poly.mul`), two pairs expand an identity
+(`lfsr.verify_identity`, which also takes the contents out and compares
+the sum with the constant).  Its generic schoolbook loop, one `mul` per
+pair of nonzero coefficients, is the reference the others are tested
+against: the integers run it on ints with no method call per product,
+GF(p) forms the sum as one packed sum of products, `inner_mod`, and
+GF(p)[y] flattens it with x = y^D into one `inner` of its base field GF(p).
 
 The engine's two scalar kernels are `Domain.dot`, a sum of products such as
 a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update,
@@ -85,12 +83,12 @@ _SLOT_CODES = {array.array(c).itemsize: c for c in "BHILQ"}
 _BYTE_MOD = {p: bytes(range(p)) * (256 // p) + bytes(range(256 % p)) for p in (2, 3, 5, 7, 11, 13)}
 
 
-def inner_mod(pairs, p: int, n: int) -> list:
-    """The sum of f * g over the (fs, gs) in pairs, as n coefficients reduced mod p.
+def inner_mod(pairs, p: int) -> list:
+    """The sum of f * g over the (fs, gs) in pairs, reduced mod p.
 
-    pairs is a nonempty list or tuple, every fs and gs a nonempty GF(p)
-    coefficient list (ints in [0, p-1], ascending), and n is at least the
-    largest len(fs) + len(gs) - 1; the result is not trimmed.  A single
+    pairs is a nonempty list or tuple and every fs and gs a nonempty GF(p)
+    coefficient list (ints in [0, p-1], ascending).  The result has the
+    largest len(fs) + len(gs) - 1 coefficients and is not trimmed.  A single
     pair below PACK_CROSSOVER runs a schoolbook loop on ints, with one % p
     per output coefficient.  Otherwise Kronecker substitution (Harvey, JSC
     2009): each factor packs into one int, one slot per coefficient, each
@@ -100,6 +98,7 @@ def inner_mod(pairs, p: int, n: int) -> list:
     coefficient of that pair at once, the products are added as ints, and
     the sum is unpacked and reduced once.
     """
+    n = max(len(fs) + len(gs) for fs, gs in pairs) - 1
     if len(pairs) == 1:
         fs, gs = pairs[0]
         if (len(fs) - 1) * (len(gs) - 1) < PACK_CROSSOVER:
@@ -194,18 +193,17 @@ class Domain:
             out.pop()
         return out
 
-    def inner(self, pairs, n: int) -> list:
-        """The sum of f * g over the (fs, gs) in pairs, as n coefficients.
+    def inner(self, pairs) -> list:
+        """The sum of f * g over the (fs, gs) in pairs, as a coefficient list.
 
-        pairs is not empty, every fs and gs is a nonempty canonical
-        coefficient list (ascending), and n is at least the largest len(fs)
-        + len(gs) - 1; the result is not trimmed.  The domain's one list
-        kernel, on which `polymul` and `inner_is_constant` are written.
-        This generic schoolbook loop, one `mul` per pair of nonzero
-        coefficients, is the reference that the int loop of IntegerRing and
-        the packed sums of GFp and GFpPolyRing are tested against.
+        pairs is not empty and every fs and gs is a nonempty canonical
+        coefficient list (ascending).  The result has the largest len(fs) +
+        len(gs) - 1 coefficients and is not trimmed.  This generic
+        schoolbook loop, one `mul` per pair of nonzero coefficients, is the
+        reference that the int loop of IntegerRing and the packed sums of
+        GFp and GFpPolyRing are tested against.
         """
-        out = [self.zero] * n
+        out = [self.zero] * (max(len(fs) + len(gs) for fs, gs in pairs) - 1)
         for fs, gs in pairs:
             for i, c in enumerate(fs):
                 if not self.is_zero(c):
@@ -213,24 +211,6 @@ class Domain:
                         if not self.is_zero(d):
                             out[k] = self.add(out[k], self.mul(c, d))
         return out
-
-    def polymul(self, fs, gs) -> list:
-        """The product of two nonempty coefficient lists (ascending, untrimmed): one `inner`."""
-        return self.inner(((fs, gs),), len(fs) + len(gs) - 1)
-
-    def inner_is_constant(self, pairs, c) -> bool:
-        """Whether the sum of f * g over the (fs, gs) in pairs is the constant c.
-
-        fs and gs are canonical coefficient lists (ascending, empty for
-        zero) and c is canonical.  The pairs of nonzero factors go into one
-        `inner`, and the sum is c when it reads c, 0, 0, ... coefficient by
-        coefficient.
-        """
-        pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
-        if not pairs:
-            return self.is_zero(c)
-        total = self.inner(pairs, max(len(fs) + len(gs) for fs, gs in pairs) - 1)
-        return total == [c] + [self.zero] * (len(total) - 1)
 
     def split_content(self, cs):
         """(c, cs / c): a common factor c of the coefficients cs, and the quotients.
@@ -305,9 +285,9 @@ class GFp(Domain):
             raise DomainError("zero is not invertible")
         return pow(a, self.p - 2, self.p)
 
-    def inner(self, pairs, n):
+    def inner(self, pairs):
         """`inner_mod`: one packed sum reduced mod p (schoolbook for one small pair)."""
-        return inner_mod(pairs, self.p, n)
+        return inner_mod(pairs, self.p)
 
     def coerce(self, x):
         if not isinstance(x, int):
@@ -369,9 +349,9 @@ class IntegerRing(Domain):
             return 1, cs
         return g, [c // g for c in cs]
 
-    def inner(self, pairs, n):
+    def inner(self, pairs):
         """The schoolbook loop on ints, out[k] += c * d: no method call per product."""
-        out = [0] * n
+        out = [0] * (max(len(fs) + len(gs) for fs, gs in pairs) - 1)
         for fs, gs in pairs:
             for i, c in enumerate(fs):
                 if c:
@@ -436,7 +416,7 @@ class GFpPolyRing(Domain):
         return tuple((-c) % self.p for c in a)
 
     def mul(self, a, b):
-        """The base field's product of the y-coefficient lists (`GFp.polymul`).
+        """The base field's product of the y-coefficient lists, one `GFp.inner`.
 
         The engine's nabla products call this; its discrepancies and updates
         are packed sums (`dot`, `axpy`) that do not.  The product of two
@@ -444,7 +424,7 @@ class GFpPolyRing(Domain):
         """
         if not a or not b:
             return ()
-        return tuple(self.base.polymul(a, b))
+        return tuple(self.base.inner(((a, b),)))
 
     def dot(self, cs, ts):
         """sum c_k * t_k as one `GFp.inner` over the pairs of nonzero factors.
@@ -456,7 +436,7 @@ class GFpPolyRing(Domain):
         pairs = [(c, t) for c, t in zip(cs, ts) if c and t]
         if not pairs:
             return ()
-        return self._trim(self.base.inner(pairs, max(len(c) + len(t) for c, t in pairs) - 1))
+        return self._trim(self.base.inner(pairs))
 
     def axpy(self, a, e, fs, b, e2, gs):
         """a * x^e * f + b * x^e2 * g as one `inner`, trimmed.
@@ -470,27 +450,27 @@ class GFpPolyRing(Domain):
                  if s and hs]
         if not pairs:
             return []
-        out = self.inner(pairs, max(len(s) + len(hs) for s, hs in pairs) - 1)
+        out = self.inner(pairs)
         while out and not out[-1]:
             out.pop()
         return out
 
-    def inner(self, pairs, n):
+    def inner(self, pairs):
         """The sum of f * g over x-polynomials, as one `inner` of the base field.
 
         Substituting x = y^D, with D above every product's y-degree, turns
         each factor into one GF(p) coefficient list, each x-coefficient but
         the last padded to D y-coefficients, so no two y-coefficients of the
         sum share a slot: x-coefficient k of the sum is the k-th D-slot
-        chunk, trimmed.  A chunk whose top slot is nonzero needs no trim,
-        and most chunks of a true identity are zero, which `any` finds
-        without a trim.
+        chunk, trimmed; the top x-coefficient fills at least one slot of the
+        last chunk, so there are as many chunks as x-coefficients.  A chunk
+        whose top slot is nonzero needs no trim, and most chunks of a true
+        identity are zero, which `any` finds without a trim.
         """
         D = max(max(map(len, fs)) + max(map(len, gs)) for fs, gs in pairs) - 1
-        flat = [(self._flatten(fs, D), self._flatten(gs, D)) for fs, gs in pairs]
-        total = self.base.inner(flat, max(len(f) + len(g) for f, g in flat) - 1)
+        total = self.base.inner([(self._flatten(fs, D), self._flatten(gs, D)) for fs, gs in pairs])
         out = []
-        for i in range(0, n * D, D):
+        for i in range(0, len(total), D):
             c = total[i:i + D]
             out.append(tuple(c) if c and c[-1] else self._trim(c) if any(c) else ())
         return out

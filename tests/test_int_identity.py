@@ -4,13 +4,13 @@ On plain factors `verify_identity` splits every factor into its content and
 primitive part (`IntegerRing.split_content`), divides out M, the gcd of the
 pairs' c_f * c_g (M must divide c), and then expands
 sum (c_f * c_g / M) * f^ * g^ with the integers' int loop
-`IntegerRing.inner` and compares it with c / M (`Domain.inner_is_constant`).
+`IntegerRing.inner` and compares it with c / M, 0, 0, ....
 That split route, taken on plain `PairedPoly`s, is checked here against
 `util.verify_pair_identity`, which multiplies the whole factors
 (`poly.mul`) and compares the sum as a polynomial, and against
-`Domain.inner_is_constant` alone, which expands without the split (the int
-loop itself is checked against the schoolbook `Domain.inner` in
-test_kernels): on the engine's true identities, on the same identities
+`util.schoolbook_is_constant`, which expands without the split by the
+schoolbook `Domain.inner` (the int loop itself is checked against that
+loop in test_kernels): on the engine's true identities, on the same identities
 made false by one unit, on false identities that a check by evaluation at
 a few points could accept (differences that vanish at the first D small
 integers, at x = 1 and at a power of two, or with a coefficient at exactly
@@ -30,10 +30,10 @@ import pytest
 from seqmin.annihilator import extend_by_jump, mr_bullet_family
 from seqmin.lfsr import _recorded_contents, minimal_realisation, run, verify_identity
 from seqmin.poly import PairedPoly, Poly, ScaledPoly, mul
-from seqmin.ring import Domain, DomainError, IntegerRing
+from seqmin.ring import DomainError, IntegerRing
 from seqmin.sequence import SequenceView
 
-from util import seeded, verify_pair_identity
+from util import schoolbook_is_constant, seeded, verify_pair_identity
 
 Z = IntegerRing()
 TERMS = (-5, -4, -3, 3, 4, 5)
@@ -67,7 +67,7 @@ def _checks_agree(a, b, c):
     pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
     assert verify_identity(a, b, c) == want
     assert verify_identity(_plain(a), _plain(b), c) == want
-    assert Domain.inner_is_constant(Z, pairs, c) == want
+    assert schoolbook_is_constant(Z, pairs, c) == want
     return want
 
 

@@ -8,13 +8,14 @@ so that the packed sums run in slots of 1, 2 and 4 bytes and wider than 8;
 with zero scalars, empty lists, zero interior x-coefficients, shifts and
 sums that cancel to zero.  The list kernels `GFp.inner`,
 `GFpPolyRing.inner` and the integers' int loop `IntegerRing.inner` are
-compared with the schoolbook `Domain.inner` in the same way.
+compared with the schoolbook `Domain.inner` in the same way, and each sum
+must have the largest len(fs) + len(gs) - 1 coefficients.
 """
 
 import pytest
 
 from seqmin import ring
-from seqmin.poly import Poly, add_scaled
+from seqmin.poly import Poly, add_scaled, mul
 from seqmin.ring import Domain, GFp, GFpPolyRing, IntegerRing
 
 from util import seeded
@@ -49,12 +50,12 @@ def packed(monkeypatch):
     """
     real, recording = ring.inner_mod, []
 
-    def spy(pairs, p, n):
+    def spy(pairs, p):
         if recording:
             bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
             width = (bound.bit_length() + 7) // 8
             call.slots.add(next((s for s in (1, 2, 4, 8) if s >= width), width))
-        return real(pairs, p, n)
+        return real(pairs, p)
 
     def call(kernel, *args):
         recording.append(True)
@@ -170,16 +171,22 @@ def _inner_cases(rng, draw, shift, neg, one):
     return cases
 
 
+def _inner_agrees(dom, pairs):
+    """dom's own `inner` equals the schoolbook loop, at the worked-out length."""
+    got = dom.inner(pairs)
+    assert got == Domain.inner(dom, pairs), pairs
+    assert len(got) == max(len(fs) + len(gs) for fs, gs in pairs) - 1, pairs
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_gfp_inner_matches_the_generic_loop(p):
     F, rng = GFp(p), seeded(1501 + p % 1000)
     cases = _inner_cases(rng, lambda n: _coeffs(rng, p, n), lambda k, fs: [0] * k + fs,
                          lambda fs: [F.neg(c) for c in fs], [1])
     for pairs in cases:
-        n = max(len(fs) + len(gs) for fs, gs in pairs) - 1 + rng.randrange(3)
-        assert F.inner(pairs, n) == Domain.inner(F, pairs, n), pairs
+        _inner_agrees(F, pairs)
     fs, gs = _coeffs(rng, p, 9), _coeffs(rng, p, 9)
-    assert F.inner([(fs, gs), (fs, [F.neg(c) for c in gs])], 17) == [0] * 17
+    assert F.inner([(fs, gs), (fs, [F.neg(c) for c in gs])]) == [0] * 17
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -194,14 +201,13 @@ def test_gfp_poly_inner_matches_the_generic_loop(p):
         cases = _inner_cases(rng, lambda n: _xpoly(rng, p, n, ylen), lambda k, fs: [()] * k + fs,
                              neg, [(1,)])
         for pairs in cases:
-            n = max(len(fs) + len(gs) for fs, gs in pairs) - 1 + rng.randrange(3)
-            assert R.inner(pairs, n) == Domain.inner(R, pairs, n), pairs
+            _inner_agrees(R, pairs)
     fs, gs = _xpoly(rng, p, 5, 4), _xpoly(rng, p, 7, 4)
-    assert R.inner([(fs, gs), (neg(fs), gs)], 12) == [()] * 12
+    assert R.inner([(fs, gs), (neg(fs), gs)]) == [()] * 11
 
 
 def test_int_inner_matches_the_generic_loop():
-    """The integers' int loop and `polymul` against the schoolbook `Domain.inner`:
+    """The integers' int loop and `poly.mul` against the schoolbook `Domain.inner`:
     negative coefficients, interior zeros and leading zeros, 1 to 40
     coefficients of up to 15k bits, and several pairs per sum."""
     Z, rng = IntegerRing(), seeded(1701)
@@ -219,9 +225,8 @@ def test_int_inner_matches_the_generic_loop():
     lengths = {len(fs) for pairs in cases for fs, _ in pairs}
     assert {1, 40} <= lengths
     for pairs in cases:
-        n = max(len(fs) + len(gs) for fs, gs in pairs) - 1 + rng.randrange(3)
-        assert Z.inner(pairs, n) == Domain.inner(Z, pairs, n), pairs
+        _inner_agrees(Z, pairs)
         for fs, gs in pairs:
-            assert Z.polymul(fs, gs) == Domain.inner(Z, [(fs, gs)], len(fs) + len(gs) - 1)
+            assert mul(Poly(Z, fs), Poly(Z, gs)).coeffs == tuple(Domain.inner(Z, [(fs, gs)]))
     fs, gs = draw(9), draw(11)
-    assert Z.inner([(fs, gs), (fs, [-c for c in gs])], 19) == [0] * 19
+    assert Z.inner([(fs, gs), (fs, [-c for c in gs])]) == [0] * 19

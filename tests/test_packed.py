@@ -7,7 +7,7 @@ over a seeded sweep of lengths on both sides of the crossover, with zero
 coefficients, all-(p-1) factors (the fullest slots) and sums whose leading
 terms cancel mod p.  Sums of products, `inner_mod`, are checked in one-byte
 slots (reduced by a translate table) for every prime that has them.  The
-packed identity checks of GFp and GFpPolyRing (`inner_is_constant`, one
+identity checks of GFp and GFpPolyRing (`lfsr.verify_identity`, one
 `inner_mod` each) are compared with the schoolbook expansion
 `util.schoolbook_is_constant` and with `util.verify_pair_identity` on true
 identities, on the same identities with one coefficient moved by one and
@@ -44,7 +44,7 @@ def _sympy_mul(fs, gs, p):
 
 def _schoolbook(dom, fs, gs):
     """fs * gs by the generic loop `Domain.inner`, whatever dom's own kernel."""
-    return Domain.inner(dom, [(fs, gs)], len(fs) + len(gs) - 1)
+    return Domain.inner(dom, [(fs, gs)])
 
 
 def _random_coeffs(rng, p, n, zeros):
@@ -61,12 +61,12 @@ def test_mul_matches_sympy_and_schoolbook(dom):
         for zeros in (0.0, 0.5):
             fs, gs = _random_coeffs(rng, p, a, zeros), _random_coeffs(rng, p, b, zeros)
             want = _sympy_mul(fs, gs, p)
-            assert GFp(p).polymul(fs, gs) == want, (a, b)
+            assert GFp(p).inner([(fs, gs)]) == want, (a, b)
             assert _schoolbook(dom, fs, gs) == want, (a, b)
             assert mul(Poly(dom, fs), Poly(dom, gs)).coeffs == tuple(want)
         # all coefficients p - 1: every slot holds its largest unreduced value
         top = [p - 1] * a, [p - 1] * b
-        assert GFp(p).polymul(*top) == _sympy_mul(*top, p) == _schoolbook(dom, *top), (a, b)
+        assert GFp(p).inner([top]) == _sympy_mul(*top, p) == _schoolbook(dom, *top), (a, b)
 
 
 @pytest.mark.parametrize("dom", FIELDS, ids=lambda d: d.descriptor())
@@ -187,38 +187,46 @@ def test_inner_mod_in_byte_slots_and_just_past_them(p):
                     pairs.append(([p - 1] * la, [p - 1] * lb))
                 else:
                     pairs.append((_random_coeffs(rng, p, la, 0.2), _random_coeffs(rng, p, lb, 0.2)))
-            n = max(len(f) + len(g) for f, g in pairs) + rng.randrange(3) - 1
-            want = [0] * n
+            want = [0] * (max(len(f) + len(g) for f, g in pairs) - 1)
             for f, g in pairs:
                 for k, c in enumerate(_schoolbook(dom, f, g)):
                     want[k] = (want[k] + c) % p
-            assert inner_mod(pairs, p, n) == want, (total, fill)
+            assert inner_mod(pairs, p) == want, (total, fill)
             for f, g in pairs:
-                assert inner_mod([(f, g)], p, len(f) + len(g) - 1) == _sympy_mul(f, g, p)
+                assert inner_mod([(f, g)], p) == _sympy_mul(f, g, p)
 
 
-def test_gfp_poly_check_rejects_a_constant_longer_than_D():
+def _identity(dom, pairs, c):
+    """verify_identity's verdict on sum f * g == c over one or two pairs (f, g);
+    the schoolbook expansion must reach the same verdict."""
+    (f, g), (f2, g2) = (list(pairs) + [((), ())])[:2]
+    a, b = PairedPoly(Poly(dom, f), Poly(dom, f2)), PairedPoly(Poly(dom, g), Poly(dom, g2))
+    verdict = verify_identity(a, b, c)
+    assert schoolbook_is_constant(dom, pairs, c) == verdict
+    return verdict
+
+
+def test_gfp_poly_check_tells_x_coefficients_from_y_coefficients():
     """f * g = 1 + x, the constant is 1 + y: false, though both read [1, 1].
 
-    The products alone ask for D = 1, where the x^1 chunk of the flattened
-    sum sits in y^1's slot.  The packed check reads the sum back
-    x-coefficient by x-coefficient and compares it with c, 0, 0, ...: 1
-    against 1 + y and 1 against 0, so 1 + x cannot pass for 1 + y.  The
-    schoolbook expansion (`util.schoolbook_is_constant`) is the
-    independent reference.
+    With x = y^D and D = 1, which the products alone ask for, the x^1 chunk
+    of the flattened sum sits in y^1's slot.  `verify_identity` reads the
+    sum back x-coefficient by x-coefficient and compares it with c, 0, 0,
+    ...: 1 against 1 + y and 1 against 0, so 1 + x cannot pass for 1 + y.
+    Each verdict is also the schoolbook expansion's
+    (`util.schoolbook_is_constant`), which shares no packing.
     """
     R = GFpPolyRing(3)
     pairs = [(((1,), (1,)), ((1,),))]
-    assert not R.inner_is_constant(pairs, (1, 1))
-    assert not schoolbook_is_constant(R, pairs, (1, 1))
-    assert not R.inner_is_constant(pairs, (1,))
+    assert not _identity(R, pairs, (1, 1))
+    assert not _identity(R, pairs, (1,))
     one_plus_y = [(((1,),), ((1, 1),))]
-    assert R.inner_is_constant(one_plus_y, (1, 1))
-    assert not R.inner_is_constant(one_plus_y, (1, 1, 1))
+    assert _identity(R, one_plus_y, (1, 1))
+    assert not _identity(R, one_plus_y, (1, 1, 1))
     # c longer than every product, with a zero x^1 chunk beside it
-    assert not R.inner_is_constant([(((1,), (), (1,)), ((1,),))], (1, 0, 1))
-    assert R.inner_is_constant([(((1, 0, 1),), ((1,),))], (1, 0, 1))
-    assert R.inner_is_constant([(((1,),), ((1,),)), (((2,),), ((1,),))], ())
+    assert not _identity(R, [(((1,), (), (1,)), ((1,),))], (1, 0, 1))
+    assert _identity(R, [(((1, 0, 1),), ((1,),))], (1, 0, 1))
+    assert _identity(R, [(((1,),), ((1,),)), (((2,),), ((1,),))], ())
 
 
 PACKED_CHECK_DOMAINS = {
@@ -234,7 +242,6 @@ def _check_agrees(dom, a, b, c):
     """The packed check, the schoolbook expansion and the reference agree; the verdict."""
     want = verify_pair_identity(a, b, c)
     pairs = ((a.f.coeffs, b.f.coeffs), (a.f2.coeffs, b.f2.coeffs))
-    assert dom.inner_is_constant(pairs, c) == want
     assert schoolbook_is_constant(dom, pairs, c) == want
     assert verify_identity(a, b, c) == want
     return want

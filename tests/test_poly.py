@@ -7,7 +7,6 @@ from seqmin.poly import (
     divmod_field,
     format_poly,
     mul,
-    pair_add_scaled,
     parse_poly,
     poly_part,
     pretty_poly,
@@ -216,8 +215,9 @@ def test_paired_poly_ops():
     t = p.tilde()
     assert t.f.coeffs == (0, 1) and t.f2.coeffs == (1, 1)
     assert (mul(p.f, t.f) + mul(p.f2, t.f2)).is_zero()  # f*(-f2) + f2*f = 0
-    q = pair_add_scaled(1, 1, p, 1, 0, p)
-    assert q.f == P(GF2_, 1, 0, 1)
+    # x * p + p, componentwise: (1 + x, x) -> (1 + x^2, x + x^2)
+    assert add_scaled(1, 1, p.f, 1, 0, p.f) == P(GF2_, 1, 0, 1)
+    assert add_scaled(1, 1, p.f2, 1, 0, p.f2) == P(GF2_, 0, 1, 1)
 
 
 def test_poly_part_examples():

@@ -33,7 +33,7 @@ def schoolbook_is_constant(dom, pairs, c) -> bool:
     pairs = [(fs, gs) for fs, gs in pairs if fs and gs]
     if not pairs:
         return dom.is_zero(c)
-    total = Domain.inner(dom, pairs, max(len(fs) + len(gs) for fs, gs in pairs) - 1)
+    total = Domain.inner(dom, pairs)
     while total and dom.is_zero(total[-1]):
         total.pop()
     return total == ([] if dom.is_zero(c) else [c])
