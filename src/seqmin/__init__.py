@@ -25,7 +25,6 @@ from .lfsr import (
     MRResult,
     MRState,
     annihilates,
-    discrepancy,
     lc_profile,
     minimal_polynomial,
     minimal_realisation,

@@ -53,11 +53,13 @@ def build_parser():
     p = sub.add_parser("minpoly", help="minimal polynomial of a sequence")
     _add_common(p)
     p.add_argument("--monic", action="store_true", help="normalize monic (fields)")
+    p.set_defaults(run=cmd_minpoly)
 
     p = sub.add_parser("mr", help="minimal realisation with Bezout coefficients")
     _add_common(p)
     p.add_argument("--monic", action="store_true", help="normalize monic (fields)")
     p.add_argument("--trace", action="store_true", help="print the per-step table")
+    p.set_defaults(run=cmd_mr)
 
     p = sub.add_parser("bezout", help="Bezout pair for u, u2 with u monic")
     _add_common(p, seq=False)
@@ -67,13 +69,16 @@ def build_parser():
                    help="cross-check against extended Euclid (fields only)")
     p.add_argument("--count-mults", action="store_true",
                    help="report the multiplication count")
+    p.set_defaults(run=cmd_bezout)
 
     p = sub.add_parser("plcp", help="perfect linear-complexity-profile report")
     p.add_argument("--ring", default="gf2")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seq", help="sequence to test")
-    p.add_argument("--exhaustive", type=int, metavar="N",
-                   help="verify profile/stability equivalence over GF(2)^N")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--seq", help="sequence to test")
+    given.add_argument("--exhaustive", type=int, metavar="N",
+                       help="verify profile/stability equivalence over GF(2)^N")
+    p.set_defaults(run=cmd_plcp)
 
     p = sub.add_parser("annihilator", help="least-degree nonvanishing annihilator")
     _add_common(p)
@@ -82,11 +87,13 @@ def build_parser():
     p.add_argument("--oracle", action="store_true",
                    help="check the answer by brute force over GF(p) "
                         "(p^n <= 3^8 and p^(n+1) <= 3^9)")
+    p.set_defaults(run=cmd_annihilator)
 
     p = sub.add_parser("reverse-lc", help="complexity of the reversed sequence")
     _add_common(p)
     p.add_argument("--classify", action="store_true",
                    help="check the n = 2*LC dichotomy")
+    p.set_defaults(run=cmd_reverse_lc)
 
     p = sub.add_parser("bench", help="timing scan over random binary sequences")
     p.add_argument("--sizes", default="4096,8192,16384,32768,65536,131072",
@@ -95,11 +102,8 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.add_argument("--count-mults", action="store_true",
                    help="also report generic-engine multiplication counts")
+    p.set_defaults(run=cmd_bench)
     return ap
-
-
-def _dom(args):
-    return domain_from_string(args.ring)
 
 
 def _eps(dom, args):
@@ -126,7 +130,7 @@ def _realisation(args, trace=False):
     mu'.f = bez_numu.f2 make bez_fg . (mu, mu') the same sum term for term,
     so both identities are proven exactly.
     """
-    dom = _dom(args)
+    dom = domain_from_string(args.ring)
     s = parse_sequence(dom, args.seq)
     eps = _eps(dom, args)
     rows = []
@@ -198,7 +202,7 @@ def cmd_mr(args):
 
 
 def cmd_bezout(args):
-    dom = _dom(args)
+    dom = domain_from_string(args.ring)
     u = parse_poly(dom, args.u)
     u2 = parse_poly(dom, args.u2)
     res = bz.bezout_pair(u, u2, count_mults=args.count_mults)
@@ -249,9 +253,6 @@ def cmd_plcp(args):
             print("n = %d: profile/stability equivalent: %s (count %d)"
                   % (args.exhaustive, ok, counts))
         return 0 if ok else 1
-    if not args.seq:
-        print("--seq or --exhaustive required", file=sys.stderr)
-        return 2
     s = parse_sequence(dom, args.seq)
     report = plcp_mod.is_plcp(s)
     if args.json:
@@ -268,7 +269,7 @@ def cmd_plcp(args):
 
 
 def cmd_annihilator(args):
-    dom = _dom(args)
+    dom = domain_from_string(args.ring)
     s = parse_sequence(dom, args.seq)
     eps = _eps(dom, args)
     if args.extend:
@@ -297,7 +298,7 @@ def cmd_annihilator(args):
 
 
 def cmd_reverse_lc(args):
-    dom = _dom(args)
+    dom = domain_from_string(args.ring)
     s = parse_sequence(dom, args.seq)
     eps = _eps(dom, args)
     if args.classify:
@@ -363,17 +364,6 @@ def _fit_exponent(rows):
     return num / den if den else None
 
 
-_COMMANDS = {
-    "minpoly": cmd_minpoly,
-    "mr": cmd_mr,
-    "bezout": cmd_bezout,
-    "plcp": cmd_plcp,
-    "annihilator": cmd_annihilator,
-    "reverse-lc": cmd_reverse_lc,
-    "bench": cmd_bench,
-}
-
-
 def _glue_term_lists(argv):
     """Pass term lists as `--seq=-1,2`: argparse reads a lone -1,2 as an option."""
     out = []
@@ -397,7 +387,7 @@ def main(argv=None):
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -57,16 +57,6 @@ MRResult = namedtuple(
 )
 
 
-def discrepancy(f: Poly, s: SequenceView):
-    """sum_{k=0}^{d} f_k * s_{n-d+k} with d = deg f; out-of-range terms are 0."""
-    if f.is_zero():
-        raise DomainError("discrepancy of the zero polynomial is undefined")
-    check_same_domain(f.dom, s.dom)
-    # f_k meets s_{n-d+k} at 0-based index lo + k; indices below 0 read as 0
-    lo = len(s) - f.degree() - 1
-    return f.dom.dot(f.coeffs[max(-lo, 0):], s.terms[max(lo, 0):])
-
-
 def annihilates(f: Poly, s: SequenceView) -> bool:
     """Window check: f_0 s_{j-d} + ... + f_d s_j = 0 for d+1 <= j <= n.
 

@@ -144,7 +144,7 @@ class Domain:
         raise NotImplementedError
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
         raise NotImplementedError
@@ -234,10 +234,11 @@ class Domain:
         raise NotImplementedError
 
     def parse(self, text: str):
-        raise NotImplementedError
+        """An integer, coerced: GF(p) reduces it mod p, so -1 reads as p - 1."""
+        return self.coerce(int(text))
 
     def format(self, a) -> str:
-        raise NotImplementedError
+        return str(a)
 
     def descriptor(self) -> str:
         raise NotImplementedError
@@ -294,13 +295,6 @@ class GFp(Domain):
             raise DomainError("cannot coerce %r into GF(%d)" % (x, self.p))
         return x % self.p
 
-    def parse(self, text):
-        """An integer, reduced mod p (the map Z -> GF(p)): -1 reads as p - 1."""
-        return int(text) % self.p
-
-    def format(self, a):
-        return str(a)
-
     def descriptor(self):
         return "gfp:%d" % self.p
 
@@ -318,7 +312,6 @@ class GF2(GFp):
 class IntegerRing(Domain):
     """Arbitrary-precision integers; a factorial (and principal ideal) domain."""
 
-    is_field = False
     zero = 0
     one = 1
 
@@ -364,12 +357,6 @@ class IntegerRing(Domain):
             raise DomainError("cannot coerce %r into the integers" % (x,))
         return x
 
-    def parse(self, text):
-        return int(text)
-
-    def format(self, a):
-        return str(a)
-
     def descriptor(self):
         return "int"
 
@@ -382,8 +369,6 @@ class GFpPolyRing(Domain):
     so the Bezout machinery applies to (GF(p)[y])[x], i.e. bivariate inputs.
     `base` is GF(p), whose list kernel runs every product of y-polynomials.
     """
-
-    is_field = False
 
     def __init__(self, p: int):
         self.base = GFp(p)
@@ -408,9 +393,6 @@ class GFpPolyRing(Domain):
             out += a[len(b):]
             return tuple(out)
         return self._trim(out)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def neg(self, a):
         return tuple((-c) % self.p for c in a)
@@ -500,7 +482,7 @@ class GFpPolyRing(Domain):
     def parse(self, text):
         """Ascending y-coefficients, optionally in parentheses: '(1,0,2)'.
 
-        Each integer coefficient is reduced mod p, as in GFp.parse.
+        Each integer coefficient is reduced mod p, as GF(p) parses it.
         """
         text = text.strip()
         if text.startswith("(") and text.endswith(")"):

@@ -153,6 +153,22 @@ def test_plcp_requires_an_input(capsys):
     assert "required" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mr", "--seq="], "error: empty sequence"),
+    (["mr", "--trace", "--seq="], "error: empty sequence"),
+    (["minpoly", "--seq="], "error: empty sequence"),
+    (["reverse-lc", "--seq="], "error: empty sequence"),
+    (["plcp", "--seq="], "error: empty sequence"),
+    (["annihilator", "--seq="], "error: sequence must have a nonzero term"),
+    (["plcp", "--seq", "1,1", "--exhaustive", "3"], "not allowed with"),
+])
+def test_bad_sequence_input_exits_2(capsys, argv, message):
+    # plcp takes exactly one of --seq and --exhaustive
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err and not out
+
+
 def test_annihilator_text(capsys):
     code, out, _ = run_cli(
         capsys, "annihilator", "--seq", "0,1,1,0,0,1,0,1", "--oracle"

@@ -4,7 +4,6 @@ import pytest
 
 from seqmin.lfsr import (
     annihilates,
-    discrepancy,
     lc_profile,
     minimal_polynomial,
     minimal_realisation,
@@ -36,14 +35,6 @@ S6 = SequenceView(F2, [1, 0, 1, 1, 0, 1])
 
 def pp(text):
     return parse_poly(F2, text)
-
-
-def test_discrepancy_examples():
-    assert discrepancy(Poly.one(F2), SequenceView(F2, [1])) == 1
-    assert discrepancy(pp("1,1,1"), SequenceView(F2, [0, 1, 1, 0, 0])) == 1
-    assert discrepancy(pp("1,1"), SequenceView(F2, [0, 0, 0])) == 0
-    with pytest.raises(DomainError):
-        discrepancy(Poly.zero(F2), S8)
 
 
 def test_annihilates_window():
