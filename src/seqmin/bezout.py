@@ -85,8 +85,6 @@ def lrs_identity(s_prefix: SequenceView, epsilon=None) -> LrsResult:
     observed over >= 2*deg(mu) terms, mu settles; `stable` reports whether
     mu last changed more than deg(mu) steps ago.
     """
-    if len(s_prefix) < 1:
-        raise ValueError("empty sequence")
     res = minimal_realisation(s_prefix, epsilon)
     d = res.mu.f.degree()
     n = len(s_prefix)

@@ -37,10 +37,10 @@ from .sequence import parse_sequence, sequence_from_bits
 
 def _add_common(p, seq=True):
     p.add_argument("--ring", default="gf2", help="gf2 | gfp:<p> | int | gfp_poly:<p>")
-    p.add_argument("--epsilon", default=None, help="initial-state constant (default 0)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     if seq:
         p.add_argument("--seq", required=True, help="comma-separated terms, s1 first")
+        p.add_argument("--epsilon", default=None, help="initial-state constant (default 0)")
 
 
 def build_parser():
@@ -106,12 +106,6 @@ def build_parser():
     return ap
 
 
-def _eps(dom, args):
-    if getattr(args, "epsilon", None) is None:
-        return None
-    return dom.parse(args.epsilon)
-
-
 def _jpair(p: PairedPoly):
     return p.f.coeffs, p.f2.coeffs
 
@@ -121,7 +115,7 @@ def _jval(v):
 
 
 def _realisation(args, trace=False):
-    """One engine pass for `mr` and `minpoly`: (dom, result, verified, rows).
+    """One engine pass for `mr` and `minpoly`: (result, verified, rows).
 
     The pass is `minimal_realisation`, or with `trace` `mr_scan`, whose
     live state gives one row per step: j, delta, e, mu, mu2, mu', mu2'.
@@ -130,29 +124,26 @@ def _realisation(args, trace=False):
     mu'.f = bez_numu.f2 make bez_fg . (mu, mu') the same sum term for term,
     so both identities are proven exactly.
     """
-    dom = domain_from_string(args.ring)
-    s = parse_sequence(dom, args.seq)
-    eps = _eps(dom, args)
     rows = []
     if trace:
-        for st in mr_scan(s, eps):
+        for st in mr_scan(args.seq, args.epsilon):
             rows.append((st.j, st.steps[-1].delta, st.e,
                          st.mu.f, st.mu.f2, st.mu_prime.f, st.mu_prime.f2))
         if not rows:
             raise ValueError("empty sequence")
         res = st.result()
     else:
-        res = minimal_realisation(s, eps)
+        res = minimal_realisation(args.seq, args.epsilon)
     if args.monic:
         res = normalize_monic(res)
     verified = (verify_identity(res.bez_numu, res.mu, res.nabla)
                 and res.bez_fg == PairedPoly(res.bez_numu.f, res.mu.f2)
                 and res.mu_prime.f == res.bez_numu.f2)
-    return dom, res, verified, rows
+    return res, verified, rows
 
 
 def cmd_minpoly(args):
-    _, res, verified, _ = _realisation(args)
+    res, verified, _ = _realisation(args)
     if args.json:
         print(json.dumps({"mu": res.mu.f.coeffs, "verified": verified}))
     else:
@@ -165,7 +156,8 @@ _TRACE_KEYS = ("j", "delta", "e", "mu", "mu2", "mu_prime", "mu2_prime")
 
 
 def cmd_mr(args):
-    dom, res, verified, rows = _realisation(args, args.trace)
+    dom = args.ring
+    res, verified, rows = _realisation(args, args.trace)
     profile = read_step_log(res.state).profile
     if args.json:
         out = {
@@ -202,7 +194,7 @@ def cmd_mr(args):
 
 
 def cmd_bezout(args):
-    dom = domain_from_string(args.ring)
+    dom = args.ring
     u = parse_poly(dom, args.u)
     u2 = parse_poly(dom, args.u2)
     res = bz.bezout_pair(u, u2, count_mults=args.count_mults)
@@ -239,9 +231,8 @@ def cmd_bezout(args):
 
 
 def cmd_plcp(args):
-    dom = domain_from_string(args.ring)
     if args.exhaustive is not None:
-        if not isinstance(dom, GF2):
+        if not isinstance(args.ring, GF2):
             print("--exhaustive checks GF(2)^N only; use --ring gf2", file=sys.stderr)
             return 2
         ok = plcp_mod.check_stable_theorem(args.exhaustive)
@@ -253,8 +244,7 @@ def cmd_plcp(args):
             print("n = %d: profile/stability equivalent: %s (count %d)"
                   % (args.exhaustive, ok, counts))
         return 0 if ok else 1
-    s = parse_sequence(dom, args.seq)
-    report = plcp_mod.is_plcp(s)
+    report = plcp_mod.is_plcp(args.seq)
     if args.json:
         print(json.dumps({
             "is_plcp": report.is_plcp,
@@ -269,19 +259,16 @@ def cmd_plcp(args):
 
 
 def cmd_annihilator(args):
-    dom = domain_from_string(args.ring)
-    s = parse_sequence(dom, args.seq)
-    eps = _eps(dom, args)
     if args.extend:
-        res = ann.extend_by_jump(s, eps)
+        res = ann.extend_by_jump(args.seq, args.epsilon)
         pair, extra = res.mu_ext, {"s_next": _jval(res.s_next)}
     else:
-        pair, extra = ann.min_nonvanishing(s, eps), {}
+        pair, extra = ann.min_nonvanishing(args.seq, args.epsilon), {}
     # both constructions assert that this degree is LC-bullet
     degree = pair.f.degree()
     oracle_ok = True
     if args.oracle:
-        _, polys, _ = brute_min_annihilator(s, require_nonzero_constant=True)
+        _, polys, _ = brute_min_annihilator(args.seq, require_nonzero_constant=True)
         oracle_ok = pair.f in polys
     if args.json:
         out = {"mu_bullet": _jpair(pair), "degree": degree, "verified": oracle_ok}
@@ -298,11 +285,8 @@ def cmd_annihilator(args):
 
 
 def cmd_reverse_lc(args):
-    dom = domain_from_string(args.ring)
-    s = parse_sequence(dom, args.seq)
-    eps = _eps(dom, args)
     if args.classify:
-        res = rev.iy_classify(s, eps)
+        res = rev.iy_classify(args.seq, args.epsilon)
         if args.json:
             print(json.dumps({"lc": res.lc, "rev_lc": res.rev_lc,
                               "verified": res.verdict}))
@@ -310,7 +294,7 @@ def cmd_reverse_lc(args):
             print("LC = %d, reversed LC = %d, dichotomy holds: %s"
                   % (res.lc, res.rev_lc, res.verdict))
         return 0 if res.verdict else 1
-    lc = rev.reverse_lc(s, eps)
+    lc = rev.reverse_lc(args.seq, args.epsilon)
     if args.json:
         print(json.dumps({"rev_lc": lc}))
     else:
@@ -387,6 +371,13 @@ def main(argv=None):
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
+        # read each input once, in this order, where the subcommand has it
+        if hasattr(args, "ring"):
+            args.ring = domain_from_string(args.ring)
+        if getattr(args, "seq", None) is not None:
+            args.seq = parse_sequence(args.ring, args.seq)
+        if getattr(args, "epsilon", None) is not None:
+            args.epsilon = args.ring.parse(args.epsilon)
         return args.run(args)
     except (DomainError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -263,9 +263,7 @@ def mr_scan(s: SequenceView, epsilon=None):
 
 def minimal_polynomial(s: SequenceView, epsilon=None) -> Poly:
     """A minimal polynomial of s (not normalized monic)."""
-    if len(s) < 1:
-        raise ValueError("empty sequence")
-    return run(s, epsilon).mu.f
+    return minimal_realisation(s, epsilon).mu.f
 
 
 def minimal_realisation(s: SequenceView, epsilon=None) -> MRResult:

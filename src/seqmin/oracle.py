@@ -9,15 +9,16 @@ classical division-based algorithm over a field.
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
-from .poly import Poly, divmod_field, poly_from_bits
+from .poly import Poly, divmod_field
 from .ring import DomainError, GFp
-from .sequence import SequenceView, bits_from_sequence
+from .sequence import SequenceView
 
 # a search over n terms tries p^(n+1) - 1 candidates (p^d tails times p - 1
 # leads at each degree d <= n); p^(n+1) <= 3^9 bounds that count, and
-# p^n <= 3^8 also keeps the bit-packed GF(2) search at n <= 12
+# p^n <= 3^8 also keeps GF(2) at n <= 12
 _BUDGET = 3**8
 
 
@@ -28,7 +29,8 @@ def brute_min_annihilator(s: SequenceView, require_nonzero_constant: bool = Fals
     set of all annihilators of minimal degree d (each with nonzero lead),
     found by enumerating every coefficient vector of each degree in turn.
     With the flag set, the search is restricted to candidates with a
-    nonzero constant term.
+    nonzero constant term.  Each window sum is taken on plain ints mod p,
+    so the search shares no arithmetic with the library.
     """
     dom = s.dom
     if not isinstance(dom, GFp):
@@ -40,56 +42,21 @@ def brute_min_annihilator(s: SequenceView, require_nonzero_constant: bool = Fals
                           "needs p^n <= 3^8 and p^(n+1) <= 3^9, and n = %d" % (p, n))
     if s.is_zero():
         return 0, {Poly.constant(dom, c) for c in range(1, p)}, True
-    if p == 2:
-        return _brute_gf2(dom, s, require_nonzero_constant)
-    return _brute_gfp(dom, s, require_nonzero_constant)
-
-
-def _windows_ok(dom, coeffs, d, s):
-    for j in range(d + 1, len(s) + 1):
-        acc = dom.zero
-        for k in range(d + 1):
-            acc = dom.add(acc, dom.mul(coeffs[k], s.term(j - d + k)))
-        if not dom.is_zero(acc):
-            return False
-    return True
-
-
-def _brute_gfp(dom, s, star):
-    n = len(s)
-    for d in range(0, n + 1):
+    for d in range(n + 1):
+        # the windows (s_{j-d}, ..., s_j) for d < j <= n, latest first; d = n
+        # has none, so everything of degree n annihilates vacuously
+        windows = [s.terms[j - d - 1 : j] for j in range(n, d, -1)]
         found = set()
-        for tail in product(range(dom.p), repeat=d):
-            if star and d > 0 and tail[0] == 0:
+        for tail in product(range(p), repeat=d):
+            if require_nonzero_constant and d > 0 and tail[0] == 0:
                 continue
-            for lead in range(1, dom.p):
+            for lead in range(1, p):
                 coeffs = tail + (lead,)
-                # d = n has no windows: everything annihilates vacuously
-                if d >= n or _windows_ok(dom, coeffs, d, s):
+                for w in windows:
+                    if sum(map(operator.mul, coeffs, w)) % p:
+                        break
+                else:
                     found.add(Poly(dom, coeffs))
-        if found:
-            return d, found, any(f.coeff(0) != 0 for f in found)
-    raise AssertionError("unreachable")
-
-
-def _brute_gf2(dom, s, star):
-    """Bit-packed GF(2) path: candidate and sequence windows as ints."""
-    n = len(s)
-    sbits = bits_from_sequence(s)
-    for d in range(0, n + 1):
-        found = set()
-        for tail in range(1 << d):
-            if star and d > 0 and not tail & 1:
-                continue
-            cand = tail | (1 << d)
-            ok = True
-            for j in range(d + 1, n + 1):
-                # window s_{j-d}..s_j sits at bits j-d-1..j-1
-                if (cand & (sbits >> (j - d - 1))).bit_count() & 1:
-                    ok = False
-                    break
-            if ok:
-                found.add(poly_from_bits(dom, cand))
         if found:
             return d, found, any(f.coeff(0) != 0 for f in found)
     raise AssertionError("unreachable")

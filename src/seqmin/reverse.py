@@ -48,8 +48,6 @@ def iy_classify(s: SequenceView, epsilon=None) -> IYResult:
     Requires n = 2 * LC(s) exactly (every domain here is factorial).
     verdict is true iff rev_lc equals lc (mu_0 != 0) or lc + 1 (mu_0 = 0).
     """
-    if len(s) < 1:
-        raise ValueError("empty sequence")
     st = run(s, epsilon)
     lc = st.mu.f.degree()
     if len(s) != 2 * lc:

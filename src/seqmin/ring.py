@@ -40,6 +40,17 @@ class DomainMismatchError(DomainError):
     """Two operands belong to different domains."""
 
 
+def parse_int(text: str) -> int:
+    """An optional sign and ASCII digits, blanks around them allowed.
+
+    int() also reads digit-group underscores and non-ASCII digits, so '1_0'
+    would read as 10; such text is refused with int()'s own message.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError("invalid literal for int() with base 10: %r" % text)
+    return int(text)
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -235,7 +246,7 @@ class Domain:
 
     def parse(self, text: str):
         """An integer, coerced: GF(p) reduces it mod p, so -1 reads as p - 1."""
-        return self.coerce(int(text))
+        return self.coerce(parse_int(text))
 
     def format(self, a) -> str:
         return str(a)
@@ -489,7 +500,7 @@ class GFpPolyRing(Domain):
             text = text[1:-1]
         if not text:
             return ()
-        return self.coerce([int(t) for t in text.split(",")])
+        return self.coerce([parse_int(t) for t in text.split(",")])
 
     def format(self, a):
         if not a:
@@ -508,10 +519,10 @@ def domain_from_string(text: str) -> Domain:
     if text == "int":
         return IntegerRing()
     if text.startswith("gfp:"):
-        p = int(text[4:])
+        p = parse_int(text[4:])
         return GF2() if p == 2 else GFp(p)
     if text.startswith("gfp_poly:"):
-        return GFpPolyRing(int(text[9:]))
+        return GFpPolyRing(parse_int(text[9:]))
     raise DomainError("unknown ring descriptor %r" % text)
 
 

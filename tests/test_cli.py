@@ -161,9 +161,25 @@ def test_plcp_requires_an_input(capsys):
     (["plcp", "--seq="], "error: empty sequence"),
     (["annihilator", "--seq="], "error: sequence must have a nonzero term"),
     (["plcp", "--seq", "1,1", "--exhaustive", "3"], "not allowed with"),
+    *((argv, "error: invalid literal for int() with base 10: '%s'" % bad) for argv, bad in (
+        (["minpoly", "--ring", "gf2", "--seq", "1,1_0"], "1_0"),
+        (["minpoly", "--ring", "gf2", "--seq", "1,\u0661"], "\u0661"),
+        (["minpoly", "--ring", "int", "--seq", "1_0,2"], "1_0"),
+        (["minpoly", "--ring", "int", "--seq", "\u0661,2"], "\u0661"),
+        (["minpoly", "--ring", "gfp_poly:3", "--seq", "1_0,(1)"], "1_0"),
+        (["minpoly", "--ring", "gfp_poly:3", "--seq", "(1,1_0),(1)"], "1_0"),
+        (["minpoly", "--ring", "gfp_poly:3", "--seq", "(1,\u0661),(1)"], "\u0661"),
+        (["mr", "--seq", "1,1", "--epsilon", "1_0"], "1_0"),
+        (["mr", "--ring", "int", "--seq", "1,1", "--epsilon", "\u0661"], "\u0661"),
+        (["bezout", "--u", "1_0,1", "--u2", "1"], "1_0"),
+        (["bezout", "--ring", "int", "--u", "\u0661,1", "--u2", "1"], "\u0661"),
+        (["minpoly", "--ring", "gfp:1_1", "--seq", "1"], "1_1"))),
+    (["bezout", "--u", "1,0,0,1", "--u2", "1,0,1", "--epsilon", "1"], "unrecognized arguments"),
 ])
 def test_bad_sequence_input_exits_2(capsys, argv, message):
-    # plcp takes exactly one of --seq and --exhaustive
+    # plcp takes exactly one of --seq and --exhaustive; a term is a sign and
+    # ASCII digits, though int() alone reads 1_0 as 10 and the Arabic-Indic
+    # one as 1; bezout reads no sequence and so takes no --epsilon
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert message in err and not out
@@ -234,6 +250,9 @@ def test_reverse_lc(capsys):
 @pytest.mark.parametrize("ring, terms, reduced", [
     ("gf2", "1,2,3", "1,0,1"),
     ("gfp:7", "8,-1", "1,6"),
+    # blanks around a term and a leading sign are allowed
+    ("gfp:7", " +8, 1,-1 ", "1,1,6"),
+    ("gfp_poly:3", "( 4,+1),(-1 )", "(1,1),(2)"),
 ])
 def test_out_of_range_terms_reduce_mod_p(capsys, ring, terms, reduced):
     for cmd in (["mr", "--json"], ["annihilator"]):

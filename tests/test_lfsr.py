@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import seqmin
 from seqmin.lfsr import (
     annihilates,
     lc_profile,
@@ -90,6 +91,23 @@ def test_minimal_polynomial_examples():
     assert minimal_polynomial(SequenceView(F2, [0, 0, 0])) == Poly.one(F2)
     with pytest.raises(ValueError):
         minimal_polynomial(SequenceView(F2, []))
+
+
+@pytest.mark.parametrize("name, message", [
+    *((name, "empty sequence") for name in (
+        "minimal_polynomial", "minimal_realisation", "lrs_identity", "is_plcp",
+        "is_stable", "plcp_mr_specialized", "reverse_lc", "iy_classify")),
+    *((name, "sequence must have a nonzero term") for name in (
+        "lc_bullet", "min_nonvanishing", "mr_bullet_family", "extend_by_jump",
+        "char_decompose")),
+])
+def test_entry_points_refuse_an_empty_sequence(name, message):
+    # without a guard the engine returns its n = 0 state and the call would
+    # answer for the empty sequence
+    empty, one = SequenceView(F2, []), Poly.one(F2)
+    args = {"mr_bullet_family": (empty, one, 1), "char_decompose": (one, empty)}
+    with pytest.raises(ValueError, match=message):
+        getattr(seqmin, name)(*args.get(name, (empty,)))
 
 
 def test_minimal_realisation_table2():

@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 
 from seqmin.lfsr import annihilates, run
 from seqmin.oracle import brute_min_annihilator, ext_euclid
 from seqmin.poly import Poly, mul, parse_poly
-from seqmin.ring import DomainError, GF2, GFp, IntegerRing
+from seqmin.ring import DomainError, GF2, GFp, IntegerRing, domain_from_string
 from seqmin.sequence import SequenceView
 from util import random_sequence, seeded
 
@@ -107,3 +109,20 @@ def test_ext_euclid_identity_random():
         from seqmin.poly import divmod_field
         assert divmod_field(u, g)[1].is_zero()
         assert divmod_field(u2, g)[1].is_zero()
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 8), (7, 4), (13, 2)])
+def test_brute_vacuous_degree(p, n):
+    # 0, ..., 0, 1 has LC = n, and degree n has no windows, so every degree-n
+    # polynomial annihilates it: the largest search the size rule allows
+    dom = domain_from_string("gfp:%d" % p)
+    s = SequenceView(dom, [0] * (n - 1) + [1])
+    every = {tail + (lead,) for tail in product(range(p), repeat=n) for lead in range(1, p)}
+    d, ws, flag = brute_min_annihilator(s)
+    assert d == n and flag
+    assert len(every) == (p - 1) * p**n
+    assert ws == {Poly(dom, cs) for cs in every}
+    d, ws, flag = brute_min_annihilator(s, require_nonzero_constant=True)
+    assert d == n and flag
+    assert len(ws) == (p - 1) ** 2 * p ** (n - 1)
+    assert ws == {Poly(dom, cs) for cs in every if cs[0]}
