@@ -31,7 +31,7 @@ from .lfsr import (
 )
 from .oracle import brute_min_annihilator, ext_euclid
 from .poly import PairedPoly, parse_poly, pretty_poly, pseudo_divide
-from .ring import GF2, DomainError, domain_from_string
+from .ring import GF2, DomainError, domain_from_string, parse_int
 from .sequence import parse_sequence, sequence_from_bits
 
 
@@ -44,6 +44,9 @@ def _add_common(p, seq=True):
 
 
 def build_parser():
+    def int(text):  # the name argparse prints: "invalid int value: 'x'"
+        return parse_int(text)
+
     ap = argparse.ArgumentParser(
         prog="seqmin",
         description="Exact minimal polynomials, realisations and Bezout identities.",
@@ -306,9 +309,13 @@ def cmd_bench(args):
     rng = random.Random(args.seed)
     sizes = []
     for tok in args.sizes.split(","):
-        if not tok.strip().isdigit() or int(tok) < 1:
+        try:
+            n = parse_int(tok)
+        except ValueError:
+            n = 0
+        if n < 1:
             raise ValueError("--sizes: %r is not a length >= 1" % tok)
-        sizes.append(int(tok))
+        sizes.append(n)
     rows = []
     for n in sizes:
         bits = rng.getrandbits(n)
@@ -317,9 +324,8 @@ def cmd_bench(args):
         dt = time.perf_counter() - t0
         row = {"n": n, "seconds": dt}
         if args.count_mults:
-            dom = domain_from_string("gf2")
             small = min(n, 2048)  # generic engine is for counting, keep it modest
-            s = sequence_from_bits(dom, bits, small)
+            s = sequence_from_bits(GF2(), bits, small)
             st = run(s, count_mults=True)
             row["mults"] = st.mults
             row["mults_n"] = small

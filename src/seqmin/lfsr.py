@@ -36,7 +36,7 @@ packed sum each over GF(p)[y], where the update is the list kernel
 Over the integers every view records its content (`poly.ScaledPoly`), so
 `verify_identity` takes c * c' from the records instead of re-deriving it
 by gcd.  `mr_gf2_scan` is the same recursion on bit-packed GF(2) ints;
-`mr_gf2_bits` and `plcp.plcp_bits` read it.
+`mr_gf2_bits`, `plcp.plcp_bits` and `plcp`'s sigma check read it.
 """
 
 from __future__ import annotations

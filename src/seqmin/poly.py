@@ -317,11 +317,6 @@ def series_prefix(u2: Poly, u: Poly, m: int) -> SequenceView:
     return SequenceView(dom, terms)
 
 
-def poly_from_bits(dom: Domain, bits: int) -> Poly:
-    """The GF(2) polynomial whose coefficient k is bit k of bits."""
-    return Poly(dom, [(bits >> k) & 1 for k in range(bits.bit_length())])
-
-
 # -- text formats -----------------------------------------------------
 
 

@@ -357,6 +357,21 @@ def test_bench_rejects_bad_sizes(capsys, sizes):
     assert repr(bad) in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--sizes", "64", "--seed", "1_0", "--json"],
+     "argument --seed: invalid int value: '1_0'"),
+    (["plcp", "--exhaustive", "\u0663", "--json"],
+     "argument --exhaustive: invalid int value: '\u0663'"),
+    (["bench", "--sizes", "\u0661\u0660", "--json"],
+     "--sizes: '\u0661\u0660' is not a length >= 1"),
+])
+def test_integer_options_read_ascii_digits_only(capsys, argv, message):
+    # int() alone reads 1_0 as 10 and Arabic-Indic digits as their values
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err and not out
+
+
 def _reject_constant(name):
     raise ValueError("not JSON: %s" % name)
 

@@ -20,7 +20,7 @@ from seqmin.lfsr import (
     verify_identity,
 )
 from seqmin.oracle import ext_euclid
-from seqmin.poly import PairedPoly, Poly, parse_poly, poly_from_bits, poly_part
+from seqmin.poly import PairedPoly, Poly, parse_poly, poly_part
 from seqmin.ring import DomainError, GF2, GFp, IntegerRing, domain_from_string
 from seqmin.sequence import SequenceView, bits_from_sequence
 from test_step_log import RINGS
@@ -264,7 +264,7 @@ def test_mr_scan_matches_stepwise():
 def test_gf2_bit_engine_agrees():
     def unpack(state):
         *polys, e = state
-        return [poly_from_bits(F2, b) for b in polys] + [e]
+        return [Poly(F2, [(b >> k) & 1 for k in range(b.bit_length())]) for b in polys] + [e]
 
     def generic(st):
         return [st.mu.f, st.mu.f2, st.mu_prime.f, st.mu_prime.f2, st.e]

@@ -1,6 +1,7 @@
 import pytest
 
-from seqmin.lfsr import run
+from seqmin import plcp
+from seqmin.lfsr import mr_gf2_scan, mr_scan, run
 from seqmin.plcp import (
     check_stable_theorem,
     count_plcp,
@@ -11,9 +12,9 @@ from seqmin.plcp import (
     random_plcp_sequence,
     stable_bits,
 )
-from seqmin.poly import PairedPoly, parse_poly
+from seqmin.poly import PairedPoly, Poly, mul, parse_poly
 from seqmin.ring import DomainError, GF2, GFp, IntegerRing
-from seqmin.sequence import SequenceView
+from seqmin.sequence import SequenceView, sequence_from_bits
 from util import seeded
 
 F2 = GF2()
@@ -158,3 +159,43 @@ def test_check_stable_theorem_small():
         assert check_stable_theorem(n)
     with pytest.raises(ValueError):
         check_stable_theorem(0)
+
+
+def _poly_sigma_holds(st):
+    """sigma_0 = 1 and sigma_2 = 0, sigma = nu^2 + (x+1)*nu*mu + mu^2, on Polys."""
+    mu, nu = st.mu.f, st.mu.f2
+    sigma = mul(nu, nu) + mul(mul(Poly(F2, (1, 1)), nu), mu) + mul(mu, mu)
+    return sigma.coeff(0) == 1 and sigma.coeff(2) == 0
+
+
+def test_packed_sigma_check_agrees_with_the_poly_sigma(monkeypatch):
+    # feed _check_sigma one packed step at a time and compare its verdict with
+    # sigma formed from the generic engine's Poly views at the same step
+    step = []
+    monkeypatch.setattr(plcp, "mr_gf2_scan", lambda sbits, n: step)
+    verdicts = set()
+    for n in range(1, 11):
+        for sbits in range(1 << n):
+            s = sequence_from_bits(F2, sbits, n)
+            for st, state in zip(mr_scan(s), mr_gf2_scan(sbits, n), strict=True):
+                step[:] = [state]
+                try:
+                    plcp._check_sigma(sbits, n)
+                    packed = True
+                except AssertionError:
+                    packed = False
+                assert packed == _poly_sigma_holds(st), (n, sbits)
+                verdicts.add(packed)
+    assert verdicts == {True, False}
+
+
+def test_planted_nu_fault_fails_the_sigma_check(monkeypatch):
+    real = plcp.mr_gf2_scan
+
+    def nu_flipped(sbits, n):
+        for mu, nu, mup, mup2, e in real(sbits, n):
+            yield mu, nu ^ 1, mup, mup2, e
+
+    monkeypatch.setattr(plcp, "mr_gf2_scan", nu_flipped)
+    with pytest.raises(AssertionError, match="sigma invariant failed"):
+        check_stable_theorem(8)
