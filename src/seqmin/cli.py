@@ -30,8 +30,8 @@ from .lfsr import (
     verify_identity,
 )
 from .oracle import brute_min_annihilator, ext_euclid
-from .poly import PairedPoly, parse_poly, pretty_poly, pseudo_divide
-from .ring import GF2, DomainError, domain_from_string, parse_int
+from .poly import PairedPoly, Poly, ScaledPoly, parse_poly, pretty_poly, pseudo_divide
+from .ring import GF2, DecimalText, DomainError, IntegerRing, domain_from_string, parse_int
 from .sequence import parse_sequence, sequence_from_bits
 
 
@@ -110,7 +110,36 @@ def build_parser():
 
 
 def _jpair(p: PairedPoly):
-    return p.f.coeffs, p.f2.coeffs
+    return p.f, p.f2
+
+
+def _dumps(out, dom) -> str:
+    """json.dumps(out) for an answer that holds its coefficient arrays as Polys.
+
+    Over the integers the text is put together here, with json.dumps's
+    separators, because json.dumps writes an int by int.__repr__, quadratic
+    in its length before CPython 3.12, and the answers' ints reach millions
+    of bits.  One ring.DecimalText writes every int, and the coefficients
+    c * m of a ScaledPoly through its `scaled`, so that each long content is
+    converted once.
+    """
+    if not isinstance(dom, IntegerRing):
+        return json.dumps(out, default=lambda f: f.coeffs)
+    text = DecimalText()
+
+    def dump(v):
+        if isinstance(v, dict):
+            return "{%s}" % ", ".join("%s: %s" % (json.dumps(k), dump(x)) for k, x in v.items())
+        if isinstance(v, (list, tuple)):
+            return "[%s]" % ", ".join(map(dump, v))
+        if isinstance(v, ScaledPoly):
+            c, base = v.content
+            return "[%s]" % ", ".join(text.scaled(c, base.coeffs))
+        if isinstance(v, Poly):
+            return "[%s]" % ", ".join(map(text, v.coeffs))
+        return text(v) if type(v) is int else json.dumps(v)
+
+    return dump(out)
 
 
 def _jval(v):
@@ -148,7 +177,7 @@ def _realisation(args, trace=False):
 def cmd_minpoly(args):
     res, verified, _ = _realisation(args)
     if args.json:
-        print(json.dumps({"mu": res.mu.f.coeffs, "verified": verified}))
+        print(_dumps({"mu": res.mu.f, "verified": verified}, args.ring))
     else:
         print("mu = %s" % pretty_poly(res.mu.f))
         print("LC = %d" % res.mu.f.degree())
@@ -164,8 +193,8 @@ def cmd_mr(args):
     profile = read_step_log(res.state).profile
     if args.json:
         out = {
-            "mu": res.mu.f.coeffs,
-            "mu2": res.mu.f2.coeffs,
+            "mu": res.mu.f,
+            "mu2": res.mu.f2,
             "mu_prime": _jpair(res.mu_prime),
             "bez_numu": _jpair(res.bez_numu),
             "bez_fg": _jpair(res.bez_fg),
@@ -174,9 +203,8 @@ def cmd_mr(args):
             "verified": verified,
         }
         if args.trace:
-            out["trace"] = [dict(zip(_TRACE_KEYS, (j, delta, e, *(f.coeffs for f in polys))))
-                            for j, delta, e, *polys in rows]
-        print(json.dumps(out))
+            out["trace"] = [dict(zip(_TRACE_KEYS, row)) for row in rows]
+        print(_dumps(out, dom))
     else:
         if args.trace:
             print("  j | delta | e | mu ; mu2 | mu' ; mu2'")
@@ -217,12 +245,12 @@ def cmd_bezout(args):
         out = {
             "f": _jpair(res.f),
             "nabla": res.nabla,
-            "g": res.g.coeffs,
+            "g": res.g,
             "verified": verified,
         }
         if args.count_mults:
             out["mults"] = res.mults
-        print(json.dumps(out))
+        print(_dumps(out, dom))
     else:
         print("f     = (%s, %s)" % (pretty_poly(res.f.f), pretty_poly(res.f.f2)))
         print("nabla = %s" % dom.format(res.nabla))
@@ -276,7 +304,7 @@ def cmd_annihilator(args):
     if args.json:
         out = {"mu_bullet": _jpair(pair), "degree": degree, "verified": oracle_ok}
         out.update(extra)
-        print(json.dumps(out))
+        print(_dumps(out, args.ring))
     else:
         print("mu_bullet = (%s, %s)" % (pretty_poly(pair.f), pretty_poly(pair.f2)))
         print("degree    = %d" % degree)

@@ -30,9 +30,10 @@ Each step costs one discrepancy, the `Domain.dot` of mu^ with the last
 LC + 1 terms, one update (`Domain.axpy`) each of mu^ and mu2^, shared by
 both branches, and one `Domain.split_content` of both new lists together,
 all on the lists with no Poly built.  `dot` and `axpy` are the domain's two
-scalar kernels: the generic loops over GF(2), GF(p) and the integers, one
-packed sum each over GF(p)[y], where the update is the list kernel
-`Domain.inner` of the shifted scalars and the factors.
+scalar kernels: the generic loops over GF(2) and GF(p), loops on plain
+ints over the integers, one packed sum each over GF(p)[y], where the
+update is the list kernel `Domain.inner` of the shifted scalars and the
+factors.
 Over the integers every view records its content (`poly.ScaledPoly`), so
 `verify_identity` takes c * c' from the records instead of re-deriving it
 by gcd.  `mr_gf2_scan` is the same recursion on bit-packed GF(2) ints;
@@ -212,13 +213,15 @@ def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
     """Fold the engine over a whole sequence.
 
     With count_mults the pass runs over a copy of the domain whose mul
-    counts its calls, and st.mults is that count: every product of the pass,
-    the content products included.  Splitting off a content over the
-    integers takes gcds and exact divisions, which are not `dom.mul` calls
-    and are not counted.  Over GF(p)[y] the discrepancies and updates are
+    counts its calls, and st.mults is that count.  Over GF(2) and GF(p) it is
+    every product of the pass.  The integers' discrepancies and updates are
+    loops on plain ints (`IntegerRing.dot`, `IntegerRing.axpy`), not `mul`
+    calls, so there the count is the content and nabla products alone;
+    splitting off a content takes one gcd and exact divisions, which are
+    not counted either.  Over GF(p)[y] the discrepancies and updates are
     packed sums (`GFpPolyRing.dot`, and `GFpPolyRing.axpy` through the list
-    kernel `GFpPolyRing.inner`), not `mul` calls, so there the count is the
-    nabla products alone.
+    kernel `GFpPolyRing.inner`), so there the count is the nabla products
+    alone.
     """
     dom = s.dom
     if count_mults:

@@ -142,20 +142,23 @@ class ScaledPoly(Poly):
     are built as these, so an identity check can take the content from the
     record instead of re-deriving it by gcd (`lfsr.verify_identity`).
     coeffs == c * base holds by construction, and negation keeps the
-    record: -f is c * (-base).  Equality and hashing read the coefficients
-    alone, as for any Poly.
+    record: -f is c * (-base), whose coefficients are the negations of f's,
+    so no product is formed again.  Equality and hashing read the
+    coefficients alone, as for any Poly.
     """
 
     __slots__ = ("content",)
 
-    def __init__(self, c, base: Poly):
+    def __init__(self, c, base: Poly, _coeffs=None):
         dom = base.dom
-        super().__init__(dom, [dom.mul(c, a) for a in base.coeffs], _canonical=True)
+        if _coeffs is None:
+            _coeffs = [dom.mul(c, a) for a in base.coeffs]
+        super().__init__(dom, _coeffs, _canonical=True)
         object.__setattr__(self, "content", (c, base))
 
     def __neg__(self):
         c, base = self.content
-        return ScaledPoly(c, -base)
+        return ScaledPoly(c, -base, Poly.__neg__(self).coeffs)
 
 
 def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:

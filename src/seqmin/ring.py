@@ -20,15 +20,23 @@ GF(p)[y] flattens it with x = y^D into one `inner` of its base field GF(p).
 The engine's two scalar kernels are `Domain.dot`, a sum of products such as
 a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update,
 which `lfsr.mr_step` calls on its bare coefficient lists and
-`poly.add_scaled` on a Poly's.  GF(2), GF(p) and the integers run the
-generic loops, one `mul` per product; GF(p)[y] forms the discrepancy as one
-`inner` of its base field and the update as one `inner` of its own.
+`poly.add_scaled` on a Poly's.  GF(2) and GF(p) run the generic loops, one
+`mul` per product; the integers run loops on plain ints with no method
+call per coefficient, and GF(p)[y] forms the discrepancy as one `inner` of
+its base field and the update as one `inner` of its own.  So over the
+integers and GF(p)[y] a `count_mults` pass (`lfsr.run`) counts no product
+of a discrepancy or an update.
+
+`DecimalText` writes the integers' long answers in decimal in
+subquadratic time; `IntegerRing.format` and the CLI's JSON use it.
 """
 
 from __future__ import annotations
 
 import array
+import operator
 import sys
+from itertools import zip_longest
 from math import gcd
 
 
@@ -143,6 +151,90 @@ def _pack_wide(cs, width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
 
 
+# DecimalText's crossover: an int of more than this many bits converts
+# faster through `decimal` than by str().  Measured on CPython 3.11 (best of
+# 5, a fresh DecimalText per int, str against decimal in ms): 16k bits
+# 0.42/0.46, 32k 1.7/1.8, 36k 2.1/2.1, 40k 2.7/2.3, 64k 6.9/4.2, 10^5
+# 16.8/8.1, 10^6 1640/145.  Leaves of at most _LEAF_BITS bits are converted
+# by Decimal(int) itself; leaves of 512 to 8192 bits ran within 10 % of
+# each other from 40k to 10^6 bits.
+DECIMAL_BITS = 36_000
+_LEAF_BITS = 2048
+
+
+class DecimalText:
+    """Decimal text of ints, each equal to str(n), in subquadratic time.
+
+    CPython before 3.12 converts an int to text in time quadratic in its
+    length, and the integers' answers reach millions of bits.  An int of
+    more than DECIMAL_BITS bits is converted into an exact Decimal by
+    divide and conquer (the scheme of CPython 3.12's _pylong): split at
+    2^h, with h the largest power of two below its bit length, convert
+    both halves, and join them with one product by 2^h as a Decimal, which
+    `decimal` multiplies in subquadratic time.  Its text is read off in
+    linear time.  `decimal` is imported at the first long int.
+
+    A DecimalText keeps the Decimal of every long int it converted, and
+    the powers 2^(2^k), so the coefficients c * m of one long content c (a
+    `poly.ScaledPoly`) cost one conversion of c and one short product each
+    (`scaled`).  Use one for the ints of one answer.
+    """
+
+    def __init__(self):
+        self._ctx = None
+        self._known = {}
+        self._powers = {}
+
+    def __call__(self, n: int) -> str:
+        if n.bit_length() <= DECIMAL_BITS:
+            return str(n)
+        return str(self._decimal(n))
+
+    def scaled(self, c: int, ms) -> list:
+        """[self(c * m) for m in ms], with c converted once."""
+        if c.bit_length() <= DECIMAL_BITS:
+            return [self(c * m) for m in ms]
+        d = self._decimal(c)
+        # a zero m is written apart: the product of a negative d and 0 reads -0
+        return [str(self._ctx.multiply(d, m)) if m else "0" for m in ms]
+
+    def _decimal(self, n: int):
+        """n as an exact Decimal."""
+        d = self._known.get(n)
+        if d is None:
+            if self._ctx is None:
+                import decimal
+
+                self._ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                                            traps=[decimal.Inexact])
+            d = self._split(abs(n))
+            if n < 0:
+                d = self._ctx.minus(d)
+            self._known[n] = d
+        return d
+
+    def _split(self, n: int):
+        w = n.bit_length()
+        if w <= _LEAF_BITS:
+            return self._ctx.create_decimal(n)
+        k = (w - 1).bit_length() - 1
+        hi = n >> (1 << k)
+        lo = n - (hi << (1 << k))
+        return self._ctx.add(self._split(lo), self._ctx.multiply(self._split(hi), self._power(k)))
+
+    def _power(self, k: int):
+        """2^(2^k) as a Decimal."""
+        d = self._powers.get(k)
+        if d is None:
+            if 1 << k <= _LEAF_BITS:
+                d = self._ctx.create_decimal(1 << (1 << k))
+            else:
+                half = self._power(k - 1)
+                d = self._ctx.multiply(half, half)
+            self._powers[k] = d
+        return d
+
+
 class Domain:
     """Abstract coefficient domain."""
 
@@ -170,9 +262,9 @@ class Domain:
         """sum c_k * t_k over zip(cs, ts), skipping zero factors.
 
         The engine's discrepancy kernel (`lfsr.mr_step`).  This generic loop,
-        one `mul` per pair of nonzero factors, is what GF(2), GF(p) and the
-        integers run, and the reference GFpPolyRing's packed sum is tested
-        against.
+        one `mul` per pair of nonzero factors, is what GF(2) and GF(p) run,
+        and the reference the integers' int loop and GFpPolyRing's packed
+        sum are tested against.
         """
         acc = self.zero
         for c, t in zip(cs, ts):
@@ -187,8 +279,8 @@ class Domain:
         b and every coefficient of fs and gs are canonical; each output
         coefficient comes out of `mul` and `add` on canonical values, so it
         is canonical already and the list is only trimmed.  This generic
-        loop is what GF(2), GF(p) and the integers run, and the reference
-        GFpPolyRing's packed sum is tested against.
+        loop is what GF(2) and GF(p) run, and the reference the integers'
+        int loop and GFpPolyRing's packed sum are tested against.
         """
         n = max(len(fs) + e, len(gs) + e2)
         out = [self.zero] * n
@@ -338,17 +430,28 @@ class IntegerRing(Domain):
     def mul(self, a, b):
         return a * b
 
-    def split_content(self, cs):
-        """(g, [c // g for c in cs]) with g > 0 the gcd of cs.
+    def dot(self, cs, ts):
+        """sum c_k * t_k as one `sum` of int products: no method call per product."""
+        return sum(map(operator.mul, cs, ts))
 
-        The running gcd stops at the first 1, and then cs comes back whole
-        with content 1; so does a list of zeros.
+    def axpy(self, a, e, fs, b, e2, gs):
+        """a * x^e * f + b * x^e2 * g on ints, trimmed: no method call per coefficient.
+
+        One comprehension over both factors, each behind its shift's zeros
+        and the shorter one padded with zeros.
         """
-        g = 0
-        for c in cs:
-            g = gcd(g, c)
-            if g == 1:
-                break
+        out = [a * x + b * y
+               for x, y in zip_longest([*[0] * e, *fs], [*[0] * e2, *gs], fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def split_content(self, cs):
+        """(g, [c // g for c in cs]) with g > 0 the gcd of cs, one `math.gcd` call.
+
+        A gcd of 1 returns cs whole with content 1; so does a list of zeros.
+        """
+        g = gcd(*cs)
         if g <= 1:
             return 1, cs
         return g, [c // g for c in cs]
@@ -367,6 +470,10 @@ class IntegerRing(Domain):
         if not isinstance(x, int):
             raise DomainError("cannot coerce %r into the integers" % (x,))
         return x
+
+    def format(self, a):
+        """str(a), in subquadratic time for a long a (`DecimalText`)."""
+        return DecimalText()(a)
 
     def descriptor(self):
         return "int"

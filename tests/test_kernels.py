@@ -9,8 +9,12 @@ with zero scalars, empty lists, zero interior x-coefficients, shifts and
 sums that cancel to zero.  The list kernels `GFp.inner`,
 `GFpPolyRing.inner` and the integers' int loop `IntegerRing.inner` are
 compared with the schoolbook `Domain.inner` in the same way, and each sum
-must have the largest len(fs) + len(gs) - 1 coefficients.
+must have the largest len(fs) + len(gs) - 1 coefficients.  The integers'
+`dot` and `axpy`, loops on plain ints, are compared with the generic loops
+too, and their one-call `split_content` with a running gcd.
 """
+
+from math import gcd
 
 import pytest
 
@@ -230,3 +234,55 @@ def test_int_inner_matches_the_generic_loop():
             assert mul(Poly(Z, fs), Poly(Z, gs)).coeffs == tuple(Domain.inner(Z, [(fs, gs)]))
     fs, gs = draw(9), draw(11)
     assert Z.inner([(fs, gs), (fs, [-c for c in gs])]) == [0] * 19
+
+
+def _int_list(rng, n):
+    """n ints of up to 200 bits, often zero or negative; all zero now and then."""
+    if rng.random() < 0.1:
+        return [0] * n
+    return [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((1, 3, 64, 200)))
+            if rng.random() < 0.7 else 0 for _ in range(n)]
+
+
+def _running_gcd_split(cs):
+    """The integers' split before one-call gcd: a running gcd that stops at 1."""
+    g = 0
+    for c in cs:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if g <= 1:
+        return 1, cs
+    return g, [c // g for c in cs]
+
+
+def test_int_kernels_match_the_generic_loops():
+    """`IntegerRing.dot`, `.axpy` and `.split_content` against `Domain.dot`,
+    `Domain.axpy` and the running gcd: zero and negative coefficients, empty
+    and all-zero lists, zero scalars, shifts, sums that cancel, and lists
+    with a common factor."""
+    Z, rng = IntegerRing(), seeded(1801)
+    for _ in range(400):
+        cs, ts = _int_list(rng, rng.randint(0, 12)), _int_list(rng, rng.randint(0, 12))
+        assert Z.dot(cs, ts) == Domain.dot(Z, cs, ts), (cs, ts)
+        assert Z.dot(cs, iter(ts)) == Z.dot(cs, ts)
+        a, b = (rng.choice((0, rng.randint(-9, 9), rng.getrandbits(100))) for _ in range(2))
+        fs, gs = _int_list(rng, rng.randint(0, 9)), _int_list(rng, rng.randint(0, 9))
+        while fs and not fs[-1]:
+            fs.pop()
+        while gs and not gs[-1]:
+            gs.pop()
+        e, e2 = rng.randint(0, 4), rng.randint(0, 4)
+        assert Z.axpy(a, e, fs, b, e2, gs) == Domain.axpy(Z, a, e, fs, b, e2, gs), (a, e, fs, b, e2, gs)
+        k = rng.choice((1, 2, 6, 2**70 + 1))
+        for xs in (cs, [k * c for c in cs], fs + gs):
+            assert Z.split_content(xs) == _running_gcd_split(xs), xs
+    f = [3, 0, -2, 5]
+    for e in (0, 2):
+        # b * g = -a * f: the sum trims to zero; the top coefficients cancel and the rest does not
+        assert Z.axpy(4, e, f, -4, e, f) == Domain.axpy(Z, 4, e, f, -4, e, f) == []
+        assert Z.axpy(1, e, [1, 1], -1, e + 1, [1]) == [0] * e + [1]
+    assert Z.axpy(2, 3, [], 5, 1, []) == Z.axpy(0, 1, f, 0, 0, f) == []
+    assert Z.dot([], []) == Z.dot([0, 0], [5, 7]) == 0
+    assert Z.split_content([]) == (1, []) and Z.split_content([0, 0]) == (1, [0, 0])
+    assert Z.split_content([-6, 0, 4]) == (2, [-3, 0, 2])

@@ -1,6 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from seqmin import ring
 from seqmin.ring import (
+    DecimalText,
     DomainError,
     DomainMismatchError,
     GF2,
@@ -11,6 +19,8 @@ from seqmin.ring import (
     domain_from_string,
     is_prime,
 )
+
+from util import seeded
 
 
 def test_is_prime_small():
@@ -89,3 +99,71 @@ def test_domain_equality_and_mismatch():
     assert GF2() != GFp(2)  # distinct descriptors by design
     with pytest.raises(DomainMismatchError):
         check_same_domain(GFp(7), IntegerRing())
+
+
+
+@pytest.fixture
+def no_digit_limit():
+    """str() of ints past CPython's default 4300-digit limit, as the CLI allows."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def _signed(ns):
+    return [m for n in ns for m in (n, -n)]
+
+
+def test_decimal_text_matches_str(no_digit_limit):
+    """`DecimalText` against str: 0, +-1, 10^k +- 1 and 2^k +- 1 on both sides of
+    DECIMAL_BITS, and seeded random ints of 10^3 to 10^6 bits."""
+    rng = seeded(1901)
+    k = int(ring.DECIMAL_BITS / math.log2(10))  # 10^k has about DECIMAL_BITS bits
+    ns = [0, 1] + [10**j + d for j in (1, 5, k - 3, k, k + 3, 2 * k) for d in (-1, 0, 1)]
+    ns += [2**j + d for j in (ring.DECIMAL_BITS - 1, ring.DECIMAL_BITS, 2**16, 2**16 + 1)
+           for d in (-1, 0, 1)]
+    bits = {n.bit_length() for n in ns}
+    assert {ring.DECIMAL_BITS, ring.DECIMAL_BITS + 1} <= bits
+    ns = _signed(ns) + [rng.choice((-1, 1)) * (rng.getrandbits(w) | 1 << (w - 1))
+                        for w in (1000, 30000, 40000, 10**5, 10**6)]
+    text = DecimalText()
+    for n in ns:
+        assert text(n) == str(n) == DecimalText()(n) == IntegerRing().format(n), n.bit_length()
+
+
+def test_decimal_text_long_path_below_the_crossover(no_digit_limit, monkeypatch):
+    """Every int through the divide and conquer: leaves, splits at 2^(2^k), signs."""
+    monkeypatch.setattr(ring, "DECIMAL_BITS", 0)
+    rng = seeded(1902)
+    ns = [0, 1, 9, 10, 99, 100] + [10**j + d for j in range(1, 700, 37) for d in (-1, 0, 1)]
+    ns += [2**j + d for j in (ring._LEAF_BITS - 1, ring._LEAF_BITS, 4096, 4097, 9000)
+           for d in (-1, 0, 1)]
+    ns += [rng.getrandbits(rng.randint(1, 20000)) for _ in range(40)]
+    text = DecimalText()
+    for n in _signed(ns):
+        assert text(n) == str(n), n
+
+
+def test_decimal_text_scaled(no_digit_limit):
+    """`scaled` writes c * m for each m, converting a long c once: zero, negative
+    and long m, a negative c, and a c below the crossover."""
+    rng = seeded(1903)
+    for w in (100, ring.DECIMAL_BITS + 1, 200000):
+        c = rng.getrandbits(w) | 1 << (w - 1)
+        ms = [0, 1, -1, 12345, -(2**200 + 7), rng.getrandbits(50000), 0]
+        for c in (c, -c):
+            assert DecimalText().scaled(c, ms) == [str(c * m) for m in ms]
+
+
+def test_decimal_is_imported_for_long_ints_only():
+    """A fresh interpreter imports `decimal` neither with seqmin.cli nor for a
+    short answer over the integers, and does for a long int."""
+    code = ("import sys, seqmin.cli, seqmin.ring as r\n"
+            "seqmin.cli.main(['mr', '--ring', 'int', '--seq=3,-5,4,4', '--json'])\n"
+            "assert 'decimal' not in sys.modules\n"
+            "assert r.DecimalText()(7 ** 20000) and 'decimal' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ring.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
