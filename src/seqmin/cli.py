@@ -30,7 +30,7 @@ from .lfsr import (
     verify_identity,
 )
 from .oracle import brute_min_annihilator, ext_euclid
-from .poly import PairedPoly, Poly, ScaledPoly, parse_poly, pretty_poly, pseudo_divide
+from .poly import PairedPoly, Poly, coeff_texts, parse_poly, pretty_poly, pseudo_divide
 from .ring import GF2, DecimalText, DomainError, IntegerRing, domain_from_string, parse_int
 from .sequence import parse_sequence, sequence_from_bits
 
@@ -109,37 +109,37 @@ def build_parser():
     return ap
 
 
-def _jpair(p: PairedPoly):
-    return p.f, p.f2
-
-
 def _dumps(out, dom) -> str:
-    """json.dumps(out) for an answer that holds its coefficient arrays as Polys.
+    """json.dumps(out) for an answer that holds its coefficient arrays as Polys,
+    and a PairedPoly as the array of its two.
 
     Over the integers the text is put together here, with json.dumps's
     separators, because json.dumps writes an int by int.__repr__, quadratic
     in its length before CPython 3.12, and the answers' ints reach millions
-    of bits.  One ring.DecimalText writes every int, and the coefficients
-    c * m of a ScaledPoly through its `scaled`, so that each long content is
-    converted once.
+    of bits.  One ring.DecimalText writes every int, a Poly's through
+    `poly.coeff_texts`, so that each long content is converted once.
     """
     if not isinstance(dom, IntegerRing):
-        return json.dumps(out, default=lambda f: f.coeffs)
+        return json.dumps(out, default=lambda v: (v.f, v.f2) if isinstance(v, PairedPoly)
+                          else v.coeffs)
     text = DecimalText()
 
     def dump(v):
+        if isinstance(v, PairedPoly):
+            v = v.f, v.f2
         if isinstance(v, dict):
             return "{%s}" % ", ".join("%s: %s" % (json.dumps(k), dump(x)) for k, x in v.items())
         if isinstance(v, (list, tuple)):
             return "[%s]" % ", ".join(map(dump, v))
-        if isinstance(v, ScaledPoly):
-            c, base = v.content
-            return "[%s]" % ", ".join(text.scaled(c, base.coeffs))
         if isinstance(v, Poly):
-            return "[%s]" % ", ".join(map(text, v.coeffs))
+            return "[%s]" % ", ".join(coeff_texts(v, text))
         return text(v) if type(v) is int else json.dumps(v)
 
     return dump(out)
+
+
+def _pretty_pair(p: PairedPoly) -> str:
+    return "(%s, %s)" % (pretty_poly(p.f), pretty_poly(p.f2))
 
 
 def _jval(v):
@@ -195,9 +195,9 @@ def cmd_mr(args):
         out = {
             "mu": res.mu.f,
             "mu2": res.mu.f2,
-            "mu_prime": _jpair(res.mu_prime),
-            "bez_numu": _jpair(res.bez_numu),
-            "bez_fg": _jpair(res.bez_fg),
+            "mu_prime": res.mu_prime,
+            "bez_numu": res.bez_numu,
+            "bez_fg": res.bez_fg,
             "nabla": res.nabla,
             "lc_profile": profile,
             "verified": verified,
@@ -211,13 +211,9 @@ def cmd_mr(args):
             for j, delta, e, *polys in rows:
                 print(" %2d | %5s | %2d | %s ; %s | %s ; %s"
                       % (j, dom.format(delta), e, *map(pretty_poly, polys)))
-        print("mu      = (%s, %s)" % (pretty_poly(res.mu.f), pretty_poly(res.mu.f2)))
-        print("mu'     = (%s, %s)"
-              % (pretty_poly(res.mu_prime.f), pretty_poly(res.mu_prime.f2)))
-        print("bez_numu= (%s, %s)"
-              % (pretty_poly(res.bez_numu.f), pretty_poly(res.bez_numu.f2)))
-        print("bez_fg  = (%s, %s)"
-              % (pretty_poly(res.bez_fg.f), pretty_poly(res.bez_fg.f2)))
+        for name, pair in (("mu", res.mu), ("mu'", res.mu_prime),
+                           ("bez_numu", res.bez_numu), ("bez_fg", res.bez_fg)):
+            print("%-8s= %s" % (name, _pretty_pair(pair)))
         print("nabla   = %s" % dom.format(res.nabla))
         print("profile = %s" % profile)
         print("verified: %s" % verified)
@@ -243,7 +239,7 @@ def cmd_bezout(args):
         verified = verified and oracle_ok
     if args.json:
         out = {
-            "f": _jpair(res.f),
+            "f": res.f,
             "nabla": res.nabla,
             "g": res.g,
             "verified": verified,
@@ -252,7 +248,7 @@ def cmd_bezout(args):
             out["mults"] = res.mults
         print(_dumps(out, dom))
     else:
-        print("f     = (%s, %s)" % (pretty_poly(res.f.f), pretty_poly(res.f.f2)))
+        print("f     = %s" % _pretty_pair(res.f))
         print("nabla = %s" % dom.format(res.nabla))
         print("g     = %s" % pretty_poly(res.g))
         if args.count_mults:
@@ -302,11 +298,11 @@ def cmd_annihilator(args):
         _, polys, _ = brute_min_annihilator(args.seq, require_nonzero_constant=True)
         oracle_ok = pair.f in polys
     if args.json:
-        out = {"mu_bullet": _jpair(pair), "degree": degree, "verified": oracle_ok}
+        out = {"mu_bullet": pair, "degree": degree, "verified": oracle_ok}
         out.update(extra)
         print(_dumps(out, args.ring))
     else:
-        print("mu_bullet = (%s, %s)" % (pretty_poly(pair.f), pretty_poly(pair.f2)))
+        print("mu_bullet = %s" % _pretty_pair(pair))
         print("degree    = %d" % degree)
         for k, v in extra.items():
             print("%s = %s" % (k, v))

@@ -127,11 +127,12 @@ class MRState:
 
     def result(self) -> MRResult:
         """The realisation, prejump pair and both Bezout pairs held now."""
+        bez = self.bez  # (-mu2', mu2); tilde(mu') = (-mu2', mu') shares its -mu2'
         return MRResult(
             mu=self.mu,
             mu_prime=self.mu_prime,
-            bez_numu=self.mu_prime.tilde(),
-            bez_fg=self.bez,
+            bez_numu=PairedPoly(bez.f, self.mu_prime.f),
+            bez_fg=bez,
             nabla=self.nabla,
             state=self,
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .ring import Domain, DomainError, check_same_domain
+from .ring import DecimalText, Domain, DomainError, IntegerRing, check_same_domain
 from .sequence import SequenceView, _split_terms
 
 
@@ -331,34 +331,36 @@ def parse_poly(dom: Domain, text: str) -> Poly:
     return Poly(dom, [dom.parse(tok) for tok in _split_terms(text)])
 
 
+def coeff_texts(f: Poly, text=None) -> list:
+    """The text of each coefficient of f, ascending: the one coefficient writer.
+
+    Over the integers one ring.DecimalText (text, or a fresh one) writes a
+    ScaledPoly's record (c, base) through `scaled`, so c is converted once,
+    and any other Poly as content 1.  Other domains `format` each coefficient.
+    """
+    dom = f.dom
+    if not isinstance(dom, IntegerRing):
+        return [dom.format(c) for c in f.coeffs]
+    c, base = f.content if isinstance(f, ScaledPoly) else (1, f)
+    return (DecimalText() if text is None else text).scaled(c, base.coeffs)
+
+
 def format_poly(f: Poly) -> str:
     """The parseable ascending-coefficient form."""
-    if f.is_zero():
-        return "0"
-    return ",".join(f.dom.format(c) for c in f.coeffs)
+    return ",".join(coeff_texts(f)) or "0"
 
 
 def pretty_poly(f: Poly) -> str:
     """Human-readable form like x^4 + x^2 + x."""
-    if f.is_zero():
-        return "0"
-    dom = f.dom
     out = ""
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[k]
-        if dom.is_zero(c):
+    for k, cs in reversed(list(enumerate(coeff_texts(f)))):
+        if f.dom.is_zero(f.coeffs[k]):
             continue
-        cs = dom.format(c)
-        sign = " + "
-        if cs.startswith("-"):
-            sign, cs = " - ", cs[1:]
-        if k == 0:
-            term = cs
-        else:
+        sign, cs = (" - ", cs[1:]) if cs[0] == "-" else (" + ", cs)
+        if k:
             xs = "x" if k == 1 else "x^%d" % k
-            term = xs if cs == "1" else "%s*%s" % (cs, xs)
-        if not out:
-            out = term if sign == " + " else "-" + term
-        else:
-            out += sign + term
-    return out
+            cs = xs if cs == "1" else "%s*%s" % (cs, xs)
+        out += sign + cs
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]

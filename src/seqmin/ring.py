@@ -28,7 +28,7 @@ integers and GF(p)[y] a `count_mults` pass (`lfsr.run`) counts no product
 of a discrepancy or an update.
 
 `DecimalText` writes the integers' long answers in decimal in
-subquadratic time; `IntegerRing.format` and the CLI's JSON use it.
+subquadratic time, for `IntegerRing.format` and `poly.coeff_texts`.
 """
 
 from __future__ import annotations
@@ -108,25 +108,20 @@ def inner_mod(pairs, p: int) -> list:
     pairs is a nonempty list or tuple and every fs and gs a nonempty GF(p)
     coefficient list (ints in [0, p-1], ascending).  The result has the
     largest len(fs) + len(gs) - 1 coefficients and is not trimmed.  A single
-    pair below PACK_CROSSOVER runs a schoolbook loop on ints, with one % p
-    per output coefficient.  Otherwise Kronecker substitution (Harvey, JSC
-    2009): each factor packs into one int, one slot per coefficient, each
-    slot wide enough for a coefficient of the unreduced sum -- at most
-    (p-1)^2 times the sum of min(len fs, len gs) over the pairs -- rounded
-    up to whole bytes.  One big-integer product per pair forms every
-    coefficient of that pair at once, the products are added as ints, and
-    the sum is unpacked and reduced once.
+    pair below PACK_CROSSOVER runs the integers' loop, `IntegerRing.inner`,
+    and one % p per output coefficient.  Otherwise Kronecker substitution
+    (Harvey, JSC 2009): each factor packs into one int, one slot per
+    coefficient, each slot wide enough for a coefficient of the unreduced
+    sum -- at most (p-1)^2 times the sum of min(len fs, len gs) over the
+    pairs -- rounded up to whole bytes.  One big-integer product per pair
+    forms every coefficient of that pair at once, the products are added
+    as ints, and the sum is unpacked and reduced once.
     """
-    n = max(len(fs) + len(gs) for fs, gs in pairs) - 1
     if len(pairs) == 1:
         fs, gs = pairs[0]
         if (len(fs) - 1) * (len(gs) - 1) < PACK_CROSSOVER:
-            out = [0] * n
-            for i, c in enumerate(fs):
-                if c:
-                    for k, d in enumerate(gs, i):
-                        out[k] += c * d
-            return [c % p for c in out]
+            return [c % p for c in IntegerRing.inner(pairs)]
+    n = max(len(fs) + len(gs) for fs, gs in pairs) - 1
     bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
     width = (bound.bit_length() + 7) // 8
     size = next((s for s in _SLOT_CODES if s >= width), None)
@@ -172,12 +167,13 @@ class DecimalText:
     2^h, with h the largest power of two below its bit length, convert
     both halves, and join them with one product by 2^h as a Decimal, which
     `decimal` multiplies in subquadratic time.  Its text is read off in
-    linear time.  `decimal` is imported at the first long int.
+    linear time.  `decimal` is imported at the first long int.  An int that
+    str() refuses, past sys.get_int_max_str_digits(), is converted so too.
 
     A DecimalText keeps the Decimal of every long int it converted, and
     the powers 2^(2^k), so the coefficients c * m of one long content c (a
     `poly.ScaledPoly`) cost one conversion of c and one short product each
-    (`scaled`).  Use one for the ints of one answer.
+    (`scaled`, read by `poly.coeff_texts`).  Use one for the ints of one answer.
     """
 
     def __init__(self):
@@ -187,7 +183,10 @@ class DecimalText:
 
     def __call__(self, n: int) -> str:
         if n.bit_length() <= DECIMAL_BITS:
-            return str(n)
+            try:
+                return str(n)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                pass
         return str(self._decimal(n))
 
     def scaled(self, c: int, ms) -> list:
@@ -456,8 +455,9 @@ class IntegerRing(Domain):
             return 1, cs
         return g, [c // g for c in cs]
 
-    def inner(self, pairs):
-        """The schoolbook loop on ints, out[k] += c * d: no method call per product."""
+    @staticmethod
+    def inner(pairs):
+        """The schoolbook loop on ints, out[k] += c * d; `inner_mod` runs it too."""
         out = [0] * (max(len(fs) + len(gs) for fs, gs in pairs) - 1)
         for fs, gs in pairs:
             for i, c in enumerate(fs):

@@ -129,6 +129,16 @@ def test_minimal_realisation_int():
     assert verify_identity(res.bez_numu, res.mu, res.nabla)
 
 
+def test_bezout_pairs_share_one_negated_mu2_prime():
+    """bez_numu = (-mu2', mu') and bez_fg = (-mu2', mu2) hold one -mu2' object,
+    read from the engine's records, after a plain pass and after a scan."""
+    s = SequenceView(Z, [-5, 4, 3, -3, 5, 4, -4, 3, 5, -5, 3, 4, -3, 5, -4, 4, 3])
+    for res in (minimal_realisation(s), list(mr_scan(s))[-1].result()):
+        assert res.bez_numu.f is res.bez_fg.f
+        assert res.bez_numu.f == -res.mu_prime.f2 and res.bez_numu.f.content[0] > 1
+        assert res.bez_numu.f2 is res.mu_prime.f and res.bez_fg.f2 is res.mu.f2
+
+
 def test_lc_profiles():
     assert lc_profile(S8) == [0, 2, 2, 2, 3, 3, 4, 4]
     assert lc_profile(S6) == [1, 1, 2, 2, 2, 2]

@@ -1,8 +1,12 @@
+import sys
+
 import pytest
 
+from seqmin import ring
 from seqmin.poly import (
     PairedPoly,
     Poly,
+    ScaledPoly,
     add_scaled,
     divmod_field,
     format_poly,
@@ -13,7 +17,15 @@ from seqmin.poly import (
     pseudo_divide,
     series_prefix,
 )
-from seqmin.ring import GF2, GFp, GFpPolyRing, DomainError, DomainMismatchError, IntegerRing
+from seqmin.ring import (
+    GF2,
+    DecimalText,
+    DomainError,
+    DomainMismatchError,
+    GFp,
+    GFpPolyRing,
+    IntegerRing,
+)
 from seqmin.sequence import SequenceView
 from util import seeded
 
@@ -255,5 +267,53 @@ def test_parse_and_format():
     assert pretty_poly(f) == "x^3 + 1"
     assert pretty_poly(parse_poly(IntegerRing(), "-3,1")) == "x - 3"
     assert pretty_poly(Poly.zero(GF2_)) == "0"
+    R3 = GFpPolyRing(3)
+    for dom, cs, pretty, plain in [
+        (Z, (-1, 2, 0, -1), "-x^3 + 2*x - 1", "-1,2,0,-1"),
+        (Z, (0, -1), "-x", "0,-1"),
+        (Z, (5,), "5", "5"),
+        (Z, (-5,), "-5", "-5"),
+        (Z, (0, 0, 1, -1), "-x^3 + x^2", "0,0,1,-1"),
+        (Z, (1, 1, -3, 1), "x^3 - 3*x^2 + x + 1", "1,1,-3,1"),
+        (GFp(7), (6, 0, 3, 1), "x^3 + 3*x^2 + 6", "6,0,3,1"),
+        (R3, ((1, 2), (), (0, 1)), "(0,1)*x^2 + (1,2)", "(1,2),(0),(0,1)"),
+        (R3, ((2,), (1,)), "(1)*x + (2)", "(2),(1)"),
+    ]:
+        assert (pretty_poly(Poly(dom, cs)), format_poly(Poly(dom, cs))) == (pretty, plain), cs
     g = parse_poly(GFpPolyRing(3), "(1,2),(0,1)")
     assert g.coeffs == ((1, 2), (0, 1))
+
+
+def test_scaled_poly_text_converts_its_content_once(monkeypatch):
+    """pretty_poly and format_poly of a ScaledPoly whose content c is longer than
+    DECIMAL_BITS, with zero, negative and long m, print what they print for a
+    plain Poly with the same coefficients, and convert c, and nothing else, to a
+    Decimal once per polynomial (`poly.coeff_texts` through `DecimalText.scaled`)."""
+    rng = seeded(2401)
+    converted = []
+    decimal = DecimalText._decimal
+
+    def counted(self, n):
+        converted.append(n)
+        return decimal(self, n)
+
+    monkeypatch.setattr(DecimalText, "_decimal", counted)
+    w = ring.DECIMAL_BITS + 1000
+    ms = [0, 7, -1, 1, 0, -(2**200 + 7), rng.getrandbits(50000), 0, -12345, 1]
+    for c in (rng.getrandbits(w) | 1 << (w - 1), -(rng.getrandbits(w) | 1 << (w - 1))):
+        for f in (ScaledPoly(c, Poly(Z, ms)), -ScaledPoly(c, Poly(Z, ms))):
+            plain = Poly(Z, f.coeffs)
+            assert type(plain) is Poly and plain == f
+            for write in (pretty_poly, format_poly):
+                converted.clear()
+                text = write(f)
+                assert converted == [c], write
+                assert text == write(plain), write
+            limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+            try:
+                if limit is not None:
+                    sys.set_int_max_str_digits(0)
+                assert format_poly(f) == ",".join(map(str, f.coeffs))
+            finally:
+                if limit is not None:
+                    sys.set_int_max_str_digits(limit)

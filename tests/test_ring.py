@@ -158,6 +158,29 @@ def test_decimal_text_scaled(no_digit_limit):
             assert DecimalText().scaled(c, ms) == [str(c * m) for m in ms]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this CPython has no int digit limit")
+def test_decimal_text_under_the_default_digit_limit():
+    """With CPython's default limit of 4300 digits, past which str() of an int
+    raises ValueError, `DecimalText`, `IntegerRing.format` and `scaled` write
+    +-10^5000 (below DECIMAL_BITS), 10^20000 and an int of DECIMAL_BITS bits,
+    as str() writes them once the limit is lifted."""
+    ns = [10**5000, -10**5000, 10**20000, (1 << ring.DECIMAL_BITS) - 1]
+    assert ns[0].bit_length() < ring.DECIMAL_BITS < ns[2].bit_length()
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str(ns[0])
+        got = [(DecimalText()(n), IntegerRing().format(n)) for n in ns]
+        got_scaled = DecimalText().scaled(10**3000, [0, -10**2000, 1])
+        sys.set_int_max_str_digits(0)
+        assert got == [(str(n), str(n)) for n in ns]
+        assert got_scaled == ["0", str(-10**5000), str(10**3000)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_decimal_is_imported_for_long_ints_only():
     """A fresh interpreter imports `decimal` neither with seqmin.cli nor for a
     short answer over the integers, and does for a long int."""
