@@ -138,8 +138,15 @@ def _dumps(out, dom) -> str:
     return dump(out)
 
 
-def _pretty_pair(p: PairedPoly) -> str:
-    return "(%s, %s)" % (pretty_poly(p.f), pretty_poly(p.f2))
+def _text(dom):
+    """One answer's writer of ints as text: a ring.DecimalText over the
+    integers, so that each long content is converted once per answer, and
+    None (`dom.format` each value) over the other domains."""
+    return DecimalText() if isinstance(dom, IntegerRing) else None
+
+
+def _pretty_pair(p: PairedPoly, text=None) -> str:
+    return "(%s, %s)" % (pretty_poly(p.f, text), pretty_poly(p.f2, text))
 
 
 def _jval(v):
@@ -179,7 +186,7 @@ def cmd_minpoly(args):
     if args.json:
         print(_dumps({"mu": res.mu.f, "verified": verified}, args.ring))
     else:
-        print("mu = %s" % pretty_poly(res.mu.f))
+        print("mu = %s" % pretty_poly(res.mu.f, _text(args.ring)))
         print("LC = %d" % res.mu.f.degree())
     return 0 if verified else 1
 
@@ -206,15 +213,17 @@ def cmd_mr(args):
             out["trace"] = [dict(zip(_TRACE_KEYS, row)) for row in rows]
         print(_dumps(out, dom))
     else:
+        text = _text(dom)
+        fmt = text or dom.format
         if args.trace:
             print("  j | delta | e | mu ; mu2 | mu' ; mu2'")
             for j, delta, e, *polys in rows:
                 print(" %2d | %5s | %2d | %s ; %s | %s ; %s"
-                      % (j, dom.format(delta), e, *map(pretty_poly, polys)))
+                      % (j, fmt(delta), e, *(pretty_poly(f, text) for f in polys)))
         for name, pair in (("mu", res.mu), ("mu'", res.mu_prime),
                            ("bez_numu", res.bez_numu), ("bez_fg", res.bez_fg)):
-            print("%-8s= %s" % (name, _pretty_pair(pair)))
-        print("nabla   = %s" % dom.format(res.nabla))
+            print("%-8s= %s" % (name, _pretty_pair(pair, text)))
+        print("nabla   = %s" % fmt(res.nabla))
         print("profile = %s" % profile)
         print("verified: %s" % verified)
     return 0 if verified else 1
@@ -248,9 +257,11 @@ def cmd_bezout(args):
             out["mults"] = res.mults
         print(_dumps(out, dom))
     else:
-        print("f     = %s" % _pretty_pair(res.f))
-        print("nabla = %s" % dom.format(res.nabla))
-        print("g     = %s" % pretty_poly(res.g))
+        text = _text(dom)
+        fmt = text or dom.format
+        print("f     = %s" % _pretty_pair(res.f, text))
+        print("nabla = %s" % fmt(res.nabla))
+        print("g     = %s" % pretty_poly(res.g, text))
         if args.count_mults:
             print("mults = %d" % res.mults)
         print("verified: %s" % verified)
@@ -302,7 +313,7 @@ def cmd_annihilator(args):
         out.update(extra)
         print(_dumps(out, args.ring))
     else:
-        print("mu_bullet = %s" % _pretty_pair(pair))
+        print("mu_bullet = %s" % _pretty_pair(pair, _text(args.ring)))
         print("degree    = %d" % degree)
         for k, v in extra.items():
             print("%s = %s" % (k, v))

@@ -16,27 +16,38 @@ pairs of the realisation come out of the same pass with no work of their
 own.  `mr_scan` lets a caller watch that one pass: it yields the live state
 after every step, which is also where the result is read from at the end.
 
-Each pair is held factored, as a scalar content times a pair of bare
-coefficient lists: mu = c * mu^ and mu' = c' * mu^'.  The values are the
-paper's division-free ones; only the arithmetic is split.  Over the
-integers nearly all of a coefficient's size is a content the whole pair
-shares, so the engine updates the small mu^ and a few scalars; over a field
-and GF(p)[y] every content is one (`Domain.split_content`) and mu is mu^
-itself.  The discrepancy delta' of the last jump is stored as that jump
-formed it, and each of mu and mu' is built as a Poly pair at most once per
-value, when first read (`MRState`).
+What a step carries is the primitive part of all this: mu = c * mu^ and
+mu' = c' * mu^', each a content times a bare coefficient list that holds
+the pair's two polynomials interleaved (`MRState`), the discrepancy
+delta^' of mu^ at the last jump, and rho = nabla / (c * c').  On a nonzero
+step with discrepancy delta^ of mu^, the one update for both branches is
+delta^' x^up mu^ - delta^ x^down mu^', whose content g is split off
+(`Domain.split_content`); then rho <- x * rho / g, with x = delta^ at a
+jump and delta^' otherwise, and the new content is c * c' * g.  Dividing
+by g is exact (tilde(mu^') . (mu^, mu2^) = rho on the primitive parts, so
+g divides x * rho), and x * rho is split together with the list, so the
+quotient comes out of the same gcd.
+
+Nothing else is formed by the pass.  Over the integers the contents grow
+doubly exponentially while mu^ and rho stay small, so c and c' are
+`ring.Product` nodes, c <- Product(c, c', g), made in O(1); their values
+are formed on first read, each at most once, as are nabla = c * c' * rho,
+each step log's Delta = c * delta^, and the coefficients of the views
+`MRState.mu` and `mu_prime` (`poly.ScaledPoly`, which records its content,
+so `verify_identity` takes c * c' from the records).  A content or nabla
+past `ring.MAX_CONTENT_BITS` is refused with a DomainError, and
+`MRState.primitive` gives the identity on the primitive parts, which forms
+no content at any length.  Over a field and GF(p)[y] every g, c and c' is
+one, rho is nabla, and mu is mu^ itself.
 
 Each step costs one discrepancy, the `Domain.dot` of mu^ with the last
-LC + 1 terms, one update (`Domain.axpy`) each of mu^ and mu2^, shared by
-both branches, and one `Domain.split_content` of both new lists together,
-all on the lists with no Poly built.  `dot` and `axpy` are the domain's two
-scalar kernels: the generic loops over GF(2) and GF(p), loops on plain
-ints over the integers, one packed sum each over GF(p)[y], where the
-update is the list kernel `Domain.inner` of the shifted scalars and the
-factors.
-Over the integers every view records its content (`poly.ScaledPoly`), so
-`verify_identity` takes c * c' from the records instead of re-deriving it
-by gcd.  `mr_gf2_scan` is the same recursion on bit-packed GF(2) ints;
+LC + 1 terms, one update (`Domain.axpy`) of the interleaved list, one
+product x * rho and one `Domain.split_content`, all on the list with no
+Poly built.  `dot` and `axpy` are the domain's two scalar kernels: the
+generic loops over GF(2) and GF(p), loops on plain ints over the
+integers, one packed sum each over GF(p)[y], where the update is the list
+kernel `Domain.inner` of the shifted scalars and the factors.
+`mr_gf2_scan` is the same recursion on bit-packed GF(2) ints;
 `mr_gf2_bits`, `plcp.plcp_bits` and `plcp`'s sigma check read it.
 """
 
@@ -46,16 +57,35 @@ import copy
 from collections import namedtuple
 
 from .poly import PairedPoly, Poly, ScaledPoly, add_scaled
-from .ring import Domain, DomainError, check_same_domain
+from .ring import Domain, DomainError, Product, check_same_domain, formed
 from .sequence import SequenceView
-
-StepRecord = namedtuple("StepRecord", ["delta", "e_before", "jumped"])
 
 StepLog = namedtuple("StepLog", ["exponents", "profile", "last_jump"])
 
 MRResult = namedtuple(
     "MRResult", ["mu", "mu_prime", "bez_numu", "bez_fg", "nabla", "state"]
 )
+
+
+class StepRecord:
+    """One step's log: the discrepancy, the exponent before the step, whether mu jumped.
+
+    The discrepancy Delta = c * delta_hat, with c the content mu held before
+    the step, is formed when first read; c is None when it is one (always
+    over a field and GF(p)[y]), and then Delta is delta_hat.
+    """
+
+    __slots__ = ("delta_hat", "e_before", "jumped", "c", "_delta")
+
+    def __init__(self, delta_hat, e_before, jumped, c=None):
+        self.delta_hat, self.e_before, self.jumped, self.c = delta_hat, e_before, jumped, c
+        self._delta = delta_hat if c is None else None
+
+    @property
+    def delta(self):
+        if self._delta is None:
+            self._delta = formed(self.c) * self.delta_hat
+        return self._delta
 
 
 def annihilates(f: Poly, s: SequenceView) -> bool:
@@ -76,35 +106,39 @@ class MRState:
     """Mutable engine state; one instance per sequence being consumed.
 
     `mr_step` updates the factors of mu = c * mu_hat and mu' = c_prime *
-    mu_hat_prime, each a pair of bare coefficient lists (fs, f2s), and
-    stores delta', the discrepancy of the last jump, when that jump forms
-    it.  `mu` and `mu_prime` are PairedPoly views of the products, built
-    when first read (Polys of the factor's lists while its content is one,
-    always over a field or GF(p)[y]) and held in a slot: mu's is cleared
-    whenever mu_hat or c changes; mu''s is cleared only at a jump, where it
-    takes over mu's, since the new mu' is the old mu.  At a jump mu_hat'
-    takes over mu_hat's lists themselves; no list is written once formed.
-    `bez` is the view (-mu2', mu2): both start at (1, 0) and share one
-    update.
+    mu_hat_prime, rho and delta_hat_prime, and keeps the step record of the
+    last jump (`jump`), whose Delta is delta'.  A factor pair is one bare
+    list with its two polynomials interleaved, mu^_0, mu2^_0, mu^_1, mu2^_1,
+    ..., trimmed: x^k times the pair is that list shifted by 2k, so one
+    `Domain.axpy` updates both, and deg mu2 < deg mu puts lead(mu^) last.
+    `mu` and `mu_prime` are PairedPoly views of the products, built when
+    first read (Polys of the factor's lists while its content is one, always
+    over a field or GF(p)[y]) and held in a slot: mu's is cleared whenever
+    mu_hat or c changes; mu''s is cleared only at a jump, where it takes
+    over mu's, since the new mu' is the old mu.  At a jump mu_hat' takes
+    over mu_hat's list itself; no list is written once formed.  `bez` is the
+    view (-mu2', mu2): both start at (1, 0) and share one update.  nabla =
+    c * c' * rho is formed when first read and held until the next nonzero
+    step; a value set replaces it, and later steps multiply that value.
     """
 
     __slots__ = ("dom", "j", "e", "c", "mu_hat", "c_prime", "mu_hat_prime",
-                 "delta_hat_prime", "delta_prime", "nabla", "steps", "terms",
-                 "mults", "_mu", "_mu_prime")
+                 "delta_hat_prime", "rho", "jump", "steps", "terms", "mults",
+                 "_mu", "_mu_prime", "_nabla", "_assigned")
 
     def __init__(self, dom: Domain, epsilon=None):
         epsilon = dom.zero if epsilon is None else dom.coerce(epsilon)
         self.dom = dom
         self.j, self.e, self.mults = 0, 1, 0
-        self.c = self.c_prime = self.delta_hat_prime = self.delta_prime = self.nabla = dom.one
-        self.mu_hat = ([dom.one], [])
-        self.mu_hat_prime = ([] if dom.is_zero(epsilon) else [epsilon], [dom.neg(dom.one)])
+        self.c = self.c_prime = self.delta_hat_prime = self.rho = self._nabla = dom.one
+        self.mu_hat = [dom.one]  # (1, 0)
+        self.mu_hat_prime = [epsilon, dom.neg(dom.one)]  # (eps, -1)
         self.steps, self.terms = [], []
-        self._mu = self._mu_prime = None
+        self.jump = self._mu = self._mu_prime = self._assigned = None
 
     @property
     def lc(self) -> int:
-        return len(self.mu_hat[0]) - 1
+        return (len(self.mu_hat) - 1) // 2
 
     @property
     def mu(self) -> PairedPoly:
@@ -119,6 +153,29 @@ class MRState:
         if self._mu_prime is None:
             self._mu_prime = _scaled(self.dom, self.c_prime, self.mu_hat_prime)
         return self._mu_prime
+
+    @property
+    def nabla(self):
+        """c * c' * rho, the running product of discrepancies."""
+        if self._assigned is not None:
+            return self._assigned
+        if self._nabla is None:
+            c, c_prime, one = self.c, self.c_prime, self.dom.one
+            if c is one and c_prime is one:
+                self._nabla = self.rho
+            else:
+                self._nabla = Product(c, c_prime, self.rho).value()
+        return self._nabla
+
+    @nabla.setter
+    def nabla(self, value):
+        """Replace the running product; later steps multiply the value set."""
+        self._assigned = value
+
+    @property
+    def delta_prime(self):
+        """Delta', the discrepancy of the last jump (one before any jump)."""
+        return self.dom.one if self.jump is None else self.jump.delta
 
     @property
     def bez(self) -> PairedPoly:
@@ -137,53 +194,71 @@ class MRState:
             state=self,
         )
 
+    def primitive(self):
+        """(tilde(mu^'), mu^, rho): the realisation's identity with c * c' divided out.
+
+        tilde(mu') . (mu, mu2) = nabla is c * c' times tilde(mu^') . (mu^,
+        mu2^) = rho, so `verify_identity(*st.primitive())` checks it on the
+        lists the pass carries and forms no content, at any length.
+        """
+        (f, f2), (g, g2) = _pair(self.dom, self.mu_hat), _pair(self.dom, self.mu_hat_prime)
+        return PairedPoly(-g2, g), PairedPoly(f, f2), self.rho
+
 
 def mr_init(dom: Domain, epsilon=None) -> MRState:
     """Initial state: mu' = (eps, -1), delta' = 1, e = 1, mu = (1, 0), nabla = 1."""
     return MRState(dom, epsilon)
 
 
-def mr_step(st: MRState, s_next) -> MRState:
-    """Consume one term: update the factored mu, mu' and nabla in place."""
+def mr_step(st: MRState, s_next, _canonical=False) -> MRState:
+    """Consume one term: update mu^, mu^', their contents and rho in place.
+
+    The term is coerced into the domain unless _canonical says it already
+    is, as a SequenceView's terms are (`run`, `mr_scan`).
+    """
     dom = st.dom
-    s_next = dom.coerce(s_next)
+    if not _canonical:
+        s_next = dom.coerce(s_next)
     st.terms.append(s_next)
     j = st.j + 1
     e = e_before = st.e
 
-    # Delta = c * delta_hat, delta_hat = sum_{k=0}^{LC} mu_hat_k s_{k+(j+e)/2}
-    # with LC = (j-e)/2: mu_hat against the last LC + 1 terms
-    fs, f2s = st.mu_hat
-    delta_hat = dom.dot(fs, st.terms[(j + e) // 2 - 1:])
+    # delta_hat = sum_{k=0}^{LC} mu_hat_k s_{k+(j+e)/2} with LC = (j-e)/2:
+    # mu_hat against the last LC + 1 terms
+    delta_hat = dom.dot(st.mu_hat[0::2], st.terms[(j + e) // 2 - 1:])
 
-    delta = delta_hat
-    jumped = False
-    if not dom.is_zero(delta_hat):
-        delta = _mul(dom, st.c, delta_hat)
+    one = dom.one
+    if dom.is_zero(delta_hat):
+        rec = StepRecord(delta_hat, e_before, False)
+    else:
         # one update for both branches: Delta' x^up mu - Delta x^down mu'
         # with up = max(e, 0) and down = max(-e, 0), which is
-        # c c' (delta_hat' x^up mu_hat - delta_hat x^down mu_hat'); the
-        # content g of both new lists moves into c
-        up, down = (e, 0) if e > 0 else (0, -e)
-        (gs, g2s), a, b = st.mu_hat_prime, st.delta_hat_prime, dom.neg(delta_hat)
-        new = dom.axpy(a, up, fs, b, down, gs)
-        new2 = dom.axpy(a, up, f2s, b, down, g2s)
-        g, cs = dom.split_content(new + new2)
-        if g != dom.one:
-            new, new2 = cs[:len(new)], cs[len(new):]
-        c = _mul(dom, _mul(dom, st.c, st.c_prime), g)
+        # c c' (delta_hat' x^up mu_hat - delta_hat x^down mu_hat'), a shift
+        # by 2 up and 2 down of the interleaved lists; the content g of the
+        # new list and x * rho moves into c
+        up, down = (2 * e, 0) if e > 0 else (0, -2 * e)
+        a = st.delta_hat_prime
+        new = dom.axpy(a, up, st.mu_hat, dom.neg(delta_hat), down, st.mu_hat_prime)
         jumped = e > 0
+        new.append(dom.mul(delta_hat if jumped else a, st.rho))
+        g, new = dom.split_content(new)
+        st.rho = new.pop()
+        c, c_prime = st.c, st.c_prime
+        rec = StepRecord(delta_hat, e_before, jumped, None if c is one else c)
         if jumped:
-            st.nabla = dom.mul(delta, st.nabla)
-            st.c_prime, st.mu_hat_prime, st._mu_prime = st.c, st.mu_hat, st._mu
-            st.delta_hat_prime, st.delta_prime = delta_hat, delta
+            st.c_prime, st.mu_hat_prime, st._mu_prime = c, st.mu_hat, st._mu
+            st.delta_hat_prime, st.jump = delta_hat, rec
             e = -e
+        if c is one and c_prime is one:  # always over a field and GF(p)[y]
+            st.c = one if g == one else g
         else:
-            st.nabla = dom.mul(st.delta_prime, st.nabla)
-        st.c, st.mu_hat, st._mu = c, (new, new2), None
+            st.c = Product(c, c_prime, g)
+        st.mu_hat, st._mu, st._nabla = new, None, None
+        if st._assigned is not None:  # Delta at a jump and Delta' otherwise, as set now
+            st._assigned = dom.mul(st.delta_prime, st._assigned)
     st.e = e + 1
     st.j = j
-    st.steps.append(StepRecord(delta, e_before, jumped))
+    st.steps.append(rec)
     return st
 
 
@@ -196,9 +271,19 @@ def _mul(dom: Domain, a, b):
     return dom.mul(a, b)
 
 
-def _scaled(dom: Domain, c, pair) -> PairedPoly:
-    """c * pair as Polys, each recording (c, its factor) unless c is one."""
-    f, f2 = (Poly(dom, cs, _canonical=True) for cs in pair)
+def _pair(dom: Domain, cs):
+    """The two Polys interleaved in one of the engine's lists, each trimmed."""
+    out = []
+    for fs in (cs[0::2], cs[1::2]):
+        while fs and dom.is_zero(fs[-1]):
+            fs.pop()
+        out.append(Poly(dom, fs, _canonical=True))
+    return out
+
+
+def _scaled(dom: Domain, c, cs) -> PairedPoly:
+    """c times the interleaved pair cs, each Poly recording (c, its factor) unless c is one."""
+    f, f2 = _pair(dom, cs)
     if c == dom.one:
         return PairedPoly(f, f2)
     return PairedPoly(ScaledPoly(c, f), ScaledPoly(c, f2))
@@ -230,7 +315,7 @@ def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
         dom.mul = _CountedMul(dom.mul)
     st = mr_init(dom, epsilon)
     for t in s:
-        mr_step(st, t)
+        mr_step(st, t, True)
     if count_mults:
         st.mults = dom.mul.calls
         del dom.mul  # the state's polynomials keep the copy, which no longer counts
@@ -262,7 +347,7 @@ def mr_scan(s: SequenceView, epsilon=None):
     """
     st = mr_init(s.dom, epsilon)
     for t in s:
-        yield mr_step(st, t)
+        yield mr_step(st, t, True)
 
 
 def minimal_polynomial(s: SequenceView, epsilon=None) -> Poly:
@@ -372,16 +457,18 @@ def _recorded_contents(a: PairedPoly, b: PairedPoly):
     """(c * c', the bases' coefficient pairs) when both products have contents {c, c'}.
 
     Every factor must be a `ScaledPoly`; contents other than one arise over
-    the integers alone.  None otherwise.
+    the integers alone.  The records are compared as they are held (the
+    engine's are `ring.Product` nodes, equal when they are one node), and
+    only c and c' are formed.  None otherwise.
     """
     try:
-        (c1, f1), (d1, g1) = a.f.content, b.f.content
-        (c2, f2), (d2, g2) = a.f2.content, b.f2.content
+        (c1, f1), (d1, g1) = (a.f.c, a.f.base), (b.f.c, b.f.base)
+        (c2, f2), (d2, g2) = (a.f2.c, a.f2.base), (b.f2.c, b.f2.base)
     except AttributeError:
         return None
     if not ((c1 == c2 and d1 == d2) or (c1 == d2 and d1 == c2)):
         return None
-    return c1 * d1, ((f1.coeffs, g1.coeffs), (f2.coeffs, g2.coeffs))
+    return formed(c1) * formed(d1), ((f1.coeffs, g1.coeffs), (f2.coeffs, g2.coeffs))
 
 
 def normalize_monic(result: MRResult) -> MRResult:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 
-from .ring import DecimalText, Domain, DomainError, IntegerRing, check_same_domain
+from .ring import DecimalText, Domain, DomainError, IntegerRing, check_same_domain, formed
 from .sequence import SequenceView, _split_terms
 
 
@@ -126,7 +126,9 @@ class Poly:
         return self.scale(self.dom.inv(self.lead()))
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.dom == other.dom and self.coeffs == other.coeffs
+        # a view is compared with itself without forming its coefficients
+        return self is other or (isinstance(other, Poly) and self.dom == other.dom
+                                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.dom, self.coeffs))
@@ -139,26 +141,38 @@ class ScaledPoly(Poly):
     """c * base for a canonical nonzero c, recording `content` = (c, base).
 
     The engine's views over the integers, mu = c * mu^ and mu' = c' * mu^',
-    are built as these, so an identity check can take the content from the
-    record instead of re-deriving it by gcd (`lfsr.verify_identity`).
-    coeffs == c * base holds by construction, and negation keeps the
-    record: -f is c * (-base), whose coefficients are the negations of f's,
-    so no product is formed again.  Equality and hashing read the
-    coefficients alone, as for any Poly.
+    are built as these, with c an int or a `ring.Product` formed when first
+    read, so an identity check can take the content from the record instead
+    of re-deriving it by gcd (`lfsr.verify_identity`), and a writer can
+    convert c once for every coefficient (`coeff_texts`).  The coefficients
+    c * base are formed at their first read and kept; negation keeps the
+    record, -f = c * (-base), and forms nothing.  Equality and hashing read
+    the coefficients, as for any Poly.
     """
 
-    __slots__ = ("content",)
+    __slots__ = ("c", "base")
 
-    def __init__(self, c, base: Poly, _coeffs=None):
-        dom = base.dom
-        if _coeffs is None:
-            _coeffs = [dom.mul(c, a) for a in base.coeffs]
-        super().__init__(dom, _coeffs, _canonical=True)
-        object.__setattr__(self, "content", (c, base))
+    def __init__(self, c, base: Poly):
+        object.__setattr__(self, "dom", base.dom)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "base", base)
+
+    def __getattr__(self, name):
+        # only an unset slot comes here: the coefficients, before their first read
+        if name != "coeffs":
+            raise AttributeError(name)
+        dom, c = self.dom, formed(self.c)
+        coeffs = tuple(dom.mul(c, a) for a in self.base.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
+
+    @property
+    def content(self):
+        """(c, base), with c formed."""
+        return formed(self.c), self.base
 
     def __neg__(self):
-        c, base = self.content
-        return ScaledPoly(c, -base, Poly.__neg__(self).coeffs)
+        return ScaledPoly(self.c, -self.base)
 
 
 def add_scaled(a, e: int, f: Poly, b, e2: int, g: Poly) -> Poly:
@@ -335,8 +349,9 @@ def coeff_texts(f: Poly, text=None) -> list:
     """The text of each coefficient of f, ascending: the one coefficient writer.
 
     Over the integers one ring.DecimalText (text, or a fresh one) writes a
-    ScaledPoly's record (c, base) through `scaled`, so c is converted once,
-    and any other Poly as content 1.  Other domains `format` each coefficient.
+    ScaledPoly's record (c, base) through `scaled`, so c is converted once
+    per writer and the coefficients c * base are not formed, and any other
+    Poly as content 1.  Other domains `format` each coefficient.
     """
     dom = f.dom
     if not isinstance(dom, IntegerRing):
@@ -350,11 +365,12 @@ def format_poly(f: Poly) -> str:
     return ",".join(coeff_texts(f)) or "0"
 
 
-def pretty_poly(f: Poly) -> str:
-    """Human-readable form like x^4 + x^2 + x."""
-    out = ""
-    for k, cs in reversed(list(enumerate(coeff_texts(f)))):
-        if f.dom.is_zero(f.coeffs[k]):
+def pretty_poly(f: Poly, text=None) -> str:
+    """Human-readable form like x^4 + x^2 + x; over the integers `text` is
+    the answer's one DecimalText (`coeff_texts`)."""
+    zero, out = f.dom.format(f.dom.zero), ""
+    for k, cs in reversed(list(enumerate(coeff_texts(f, text)))):
+        if cs == zero:
             continue
         sign, cs = (" - ", cs[1:]) if cs[0] == "-" else (" + ", cs)
         if k:

@@ -234,6 +234,58 @@ class DecimalText:
         return d
 
 
+# The largest bound, in bits, for which Product.value forms a product.  The
+# engine's integer contents grow doubly exponentially with the length, so a
+# few terms past this limit their products alone would take minutes: one
+# product of two 2^23-bit ints takes 3.3 s, and writing a 2^23-bit int in
+# decimal 1.4 s (CPython 3.11).  The 30-term integer answers of the CI step
+# are bounded by 1.3 M bits (c) and 1.8 M bits (nabla), below 2^21.
+MAX_CONTENT_BITS = 1 << 24
+
+
+class Product:
+    """The product a * b * g of integer factors, formed when first read and at most once.
+
+    a and b are ints or other Products and g is an int, so a chain of them
+    is a power product that costs O(1) to extend: the engine's contents over
+    the integers, c <- c * c' * g, are these.  `bits` is an upper bound on
+    the value's bit length, the sum of the factors' bounds.  `value()` forms
+    every factor not yet formed, each once, and refuses a bound above
+    MAX_CONTENT_BITS with a DomainError that names both sizes.
+    """
+
+    __slots__ = ("a", "b", "g", "bits", "_value")
+
+    def __init__(self, a, b, g):
+        self.a, self.b, self.g, self._value = a, b, g, None
+        self.bits = ((a.bits if type(a) is Product else a.bit_length())
+                     + (b.bits if type(b) is Product else b.bit_length()) + g.bit_length())
+
+    def value(self) -> int:
+        if self._value is None:
+            if self.bits > MAX_CONTENT_BITS:
+                raise DomainError("an integer of up to %d bits is past the limit of %d bits"
+                                  " (ring.MAX_CONTENT_BITS)" % (self.bits, MAX_CONTENT_BITS))
+            # the chain of first factors not yet formed, formed oldest first:
+            # the engine's c' is an earlier c on that chain, so it is formed
+            # by then, and any other factor is formed by its own value()
+            chain, node = [], self
+            while type(node) is Product and node._value is None:
+                chain.append(node)
+                node = node.a
+            for node in reversed(chain):
+                a, b = node.a, node.b
+                if type(b) is Product:
+                    b = b._value if b._value is not None else b.value()
+                node._value = (a._value if type(a) is Product else a) * b * node.g
+        return self._value
+
+
+def formed(x):
+    """The value of x: x.value() for a Product, x itself otherwise."""
+    return x.value() if type(x) is Product else x
+
+
 class Domain:
     """Abstract coefficient domain."""
 

@@ -6,13 +6,17 @@ from .ring import Domain
 
 
 class SequenceView:
-    """Immutable finite sequence s_1..s_n over one domain."""
+    """Immutable finite sequence s_1..s_n over one domain.
+
+    The terms are coerced into the domain once, here, unless _canonical says
+    they already are (parsed terms, or another view's).
+    """
 
     __slots__ = ("dom", "terms")
 
-    def __init__(self, dom: Domain, terms):
+    def __init__(self, dom: Domain, terms, _canonical=False):
         object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "terms", tuple(dom.coerce(t) for t in terms))
+        object.__setattr__(self, "terms", tuple(terms if _canonical else map(dom.coerce, terms)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SequenceView is immutable")
@@ -43,14 +47,14 @@ class SequenceView:
         return self.terms[i - 1]
 
     def prefix(self, j: int) -> "SequenceView":
-        return SequenceView(self.dom, self.terms[:j])
+        return SequenceView(self.dom, self.terms[:j], _canonical=True)
 
     def reversed(self) -> "SequenceView":
-        return SequenceView(self.dom, self.terms[::-1])
+        return SequenceView(self.dom, self.terms[::-1], _canonical=True)
 
     def slice(self, i: int, j: int) -> "SequenceView":
         """(s_i, ..., s_j) with 1-based inclusive bounds."""
-        return SequenceView(self.dom, self.terms[i - 1 : j])
+        return SequenceView(self.dom, self.terms[i - 1 : j], _canonical=True)
 
     def is_zero(self) -> bool:
         return all(self.dom.is_zero(t) for t in self.terms)
@@ -63,7 +67,7 @@ class SequenceView:
         return None
 
     def append(self, value) -> "SequenceView":
-        return SequenceView(self.dom, self.terms + (self.dom.coerce(value),))
+        return SequenceView(self.dom, self.terms + (self.dom.coerce(value),), _canonical=True)
 
 
 def parse_sequence(dom: Domain, text: str) -> SequenceView:
@@ -71,7 +75,7 @@ def parse_sequence(dom: Domain, text: str) -> SequenceView:
     text = text.strip()
     if not text:
         return SequenceView(dom, ())
-    return SequenceView(dom, [dom.parse(tok) for tok in _split_terms(text)])
+    return SequenceView(dom, [dom.parse(tok) for tok in _split_terms(text)], _canonical=True)
 
 
 def bits_from_sequence(s: SequenceView) -> int:
@@ -94,6 +98,8 @@ def format_sequence(s: SequenceView) -> str:
 
 def _split_terms(text: str):
     """Split on commas at paren depth zero (gfp_poly terms contain commas)."""
+    if "(" not in text and ")" not in text:
+        return text.split(",")
     toks, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,11 @@ import pytest
 
 import seqmin.cli as cli
 from seqmin.cli import main
-from seqmin.lfsr import verify_identity
+from seqmin.lfsr import run, verify_identity
 from seqmin.poly import PairedPoly, Poly
-from seqmin.ring import GF2, GFp
+from seqmin.ring import (DECIMAL_BITS, GF2, MAX_CONTENT_BITS, DecimalText, GFp, IntegerRing,
+                         formed)
+from seqmin.sequence import SequenceView
 
 
 def run_cli(capsys, *argv):
@@ -93,14 +96,15 @@ def test_bezout_text(capsys):
 # `bezout --count-mults` on fixed inputs: every `dom.mul` call of the engine
 # pass.  GF(2) and GF(7) run the generic kernels, one `mul` per product.
 # The integers' discrepancy and update are loops on plain ints that make
-# none, so their count is the content and nabla products alone (128 while
-# they ran the generic kernels); GF(p)[y]'s packed discrepancy and update
-# make none either, so its count is the nabla products alone (39 while its
-# kernels called `mul`).
+# none, and their contents are formed only when read, so their count is the
+# one x * rho product of each nonzero step (128 while they ran the generic
+# kernels, 18 while each step formed its content and nabla); GF(p)[y]'s
+# packed discrepancy and update make none either, so its count is the
+# nabla products alone (39 while its kernels called `mul`).
 @pytest.mark.parametrize("argv,mults", [
     (["--u", "1,0,0,1", "--u2", "1,0,1"], 20),
     (["--ring", "gfp:7", "--u", "3,1,4,1,5,1", "--u2", "2,6,5,3"], 99),
-    (["--ring", "int", "--u=3,-1,4,1,-5,1", "--u2=2,7,-1,8"], 18),
+    (["--ring", "int", "--u=3,-1,4,1,-5,1", "--u2=2,7,-1,8"], 9),
     (["--ring", "gfp_poly:3", "--u=(0,1),(2),(1,1),(1)", "--u2=(1,2),(0,1)"], 5),
 ])
 def test_bezout_count_mults_pinned(capsys, argv, mults):
@@ -324,6 +328,48 @@ def test_bezout_divisibility_check_over_every_domain(capsys, ring, u, u2):
     )
     assert code == 0
     assert json.loads(out)["verified"] is True
+
+
+# the first terms of the 30-term integer input of the CI step: at 25 terms
+# c (113 k bits), c' (80 k bits) and nabla (194 k bits) are all longer than
+# ring.DECIMAL_BITS, so each of them is converted through `decimal`
+CI_INT_TERMS = "-5,4,3,-3,5,4,-4,3,5,-5,3,4,-3,5,-4,4,3,-5,5,3,-4,4,-3,5,3,-5,4,-4,3,5"
+
+
+@pytest.mark.parametrize("argv", [["mr"], ["mr", "--json"], ["mr", "--trace"]])
+def test_integer_answers_convert_each_long_int_once(capsys, monkeypatch, argv):
+    """One DecimalText writes a whole answer over the integers, as text and
+    as JSON: every distinct int past DECIMAL_BITS, the contents c and c'
+    among them, is converted once, however many polynomials it scales."""
+    converted = []
+    real = DecimalText._decimal
+
+    def counted(self, n):
+        if n not in self._known:
+            converted.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(DecimalText, "_decimal", counted)
+    terms = CI_INT_TERMS.split(",")[:25]
+    st = run(SequenceView(IntegerRing(), [int(t) for t in terms]))
+    contents = [formed(st.c), formed(st.c_prime)]
+    assert min(c.bit_length() for c in contents) > DECIMAL_BITS
+    code, _, _ = run_cli(capsys, *argv, "--ring", "int", "--seq=" + ",".join(terms))
+    assert code == 0
+    assert len(converted) == len(set(converted))
+    assert all(converted.count(c) == 1 for c in contents)
+
+
+def test_mr_past_the_content_limit_exits_2(capsys):
+    """200 integer terms: the pass carries rho and forms no content, and
+    reading the answer would form contents of astronomically many bits, so
+    the request stops at once with exit 2, naming both sizes."""
+    rng = random.Random("content-limit")
+    terms = ",".join(str(rng.choice((-5, -4, -3, 3, 4, 5))) for _ in range(200))
+    code, out, err = run_cli(capsys, "mr", "--ring", "int", "--seq=" + terms)
+    assert code == 2 and out == ""
+    assert err.startswith("error: an integer of up to ")
+    assert "past the limit of %d bits (ring.MAX_CONTENT_BITS)" % MAX_CONTENT_BITS in err
 
 
 def test_integer_output_past_the_digit_limit(capsys):

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from seqmin.lfsr import mr_scan, run
-from seqmin.ring import domain_from_string
+from seqmin.lfsr import mr_scan, run, verify_identity
+from seqmin.ring import domain_from_string, formed
 from seqmin.sequence import SequenceView
 
 from util import divfree_mr
@@ -92,3 +92,18 @@ def test_views_kept_through_the_pass(ring, with_epsilon):
         for (mu, mu_prime), want in zip(kept, divfree_mr(dom, terms, eps), strict=True):
             assert (mu.f.coeffs, mu.f2.coeffs) == (want.mu, want.mu2)
             assert (mu_prime.f.coeffs, mu_prime.f2.coeffs) == (want.mu_prime, want.mu2_prime)
+
+
+@pytest.mark.parametrize("with_epsilon", [False, True])
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_rho_times_both_contents_is_nabla(ring, with_epsilon):
+    """A step carries rho = nabla / (c * c'): at every step rho * c * c'
+    equals the reference's nabla, and the identity on the primitive parts,
+    tilde(mu^') . (mu^, mu2^) = rho, holds (`MRState.primitive`)."""
+    dom = domain_from_string(ring)
+    for terms, eps in seeded_inputs(ring, with_epsilon):
+        ref = divfree_mr(dom, terms, eps)
+        for st, want in zip(mr_scan(SequenceView(dom, terms), eps), ref, strict=True):
+            c, c_prime = formed(st.c), formed(st.c_prime)
+            assert dom.mul(dom.mul(st.rho, c), c_prime) == want.nabla
+            assert verify_identity(*st.primitive())

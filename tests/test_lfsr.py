@@ -21,7 +21,8 @@ from seqmin.lfsr import (
 )
 from seqmin.oracle import ext_euclid
 from seqmin.poly import PairedPoly, Poly, parse_poly, poly_part
-from seqmin.ring import DomainError, GF2, GFp, IntegerRing, domain_from_string
+from seqmin.ring import (MAX_CONTENT_BITS, DomainError, GF2, GFp, GFpPolyRing, IntegerRing,
+                         Product, domain_from_string)
 from seqmin.sequence import SequenceView, bits_from_sequence
 from test_step_log import RINGS
 from util import random_sequence, seeded, verify_pair_identity
@@ -352,3 +353,59 @@ def test_mult_count_equals_domain_mul_calls(ring, with_epsilon):
     dom.mul_calls.clear()
     assert run(SequenceView(dom, [0] * 6), eps, count_mults=True).mults == 0
     assert dom.mul_calls == []
+
+
+def test_a_pass_coerces_no_term(monkeypatch):
+    """A SequenceView's terms are coerced when it is built, so neither `run`
+    nor `mr_scan` coerces one again; the public `mr_step` still coerces the
+    term it is given, so over GF(7) it reads 9 as 2."""
+    calls = []
+    for cls in (GFp, IntegerRing, GFpPolyRing):
+        real = cls.coerce
+        monkeypatch.setattr(cls, "coerce",
+                            lambda self, x, real=real: calls.append(x) or real(self, x))
+    rng = random.Random("coerce once")
+    for ring, (longest, term) in sorted(RINGS.items()):
+        dom = domain_from_string(ring)
+        s = SequenceView(dom, [term(rng) for _ in range(longest)])
+        del calls[:]
+        run(s)
+        for _ in mr_scan(s):
+            pass
+        assert calls == [], ring
+    st = mr_init(GFp(7))
+    mr_step(st, 9)
+    assert st.terms == [2] and calls == [9]
+
+
+def _formed_contents(st):
+    """(formed, all): the content nodes reachable from the state and its step log."""
+    seen, todo = {}, [st.c, st.c_prime] + [rec.c for rec in st.steps]
+    while todo:
+        node = todo.pop()
+        if type(node) is Product and id(node) not in seen:
+            seen[id(node)] = node._value is not None
+            todo += (node.a, node.b)
+    return sum(seen.values()), len(seen)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_integers_at_scale_form_no_content(n):
+    """Seeded integer inputs of 200 and 400 terms, where c and c' run to
+    astronomically many bits: the pass carries the primitive parts and rho,
+    mu^ annihilates the sequence with degree LC, the identity on the
+    primitive parts holds, and no content node is formed, also when reading
+    nabla stops at the content limit."""
+    rng = random.Random("int at scale/%d" % n)
+    s = SequenceView(Z, [rng.choice((-5, -4, -3, 3, 4, 5)) for _ in range(n)])
+    st = run(s)
+    a, mu_hat, rho = st.primitive()
+    assert verify_identity(a, mu_hat, rho)
+    assert not verify_identity(a, mu_hat, rho + 1)
+    assert annihilates(mu_hat.f, s) and mu_hat.f.degree() == st.lc == lc_profile(s)[-1]
+    formed, nodes = _formed_contents(st)
+    assert formed == 0 and nodes > n // 2
+    assert st.c.bits > MAX_CONTENT_BITS
+    with pytest.raises(DomainError, match="MAX_CONTENT_BITS"):
+        st.nabla
+    assert _formed_contents(st) == (0, nodes)
