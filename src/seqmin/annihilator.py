@@ -29,11 +29,11 @@ def lc_bullet(s: SequenceView, epsilon=None) -> int:
 
 
 def _lc_bullet_of(st) -> int:
-    # LC when e <= 0 or mu_0 != 0, otherwise n + 1 - LC
-    lc = st.mu.f.degree()
-    if st.e <= 0 or not st.dom.is_zero(st.mu.f.constant_term()):
-        return lc
-    return st.j + 1 - lc
+    # LC when e <= 0 or mu_0 != 0, otherwise n + 1 - LC; mu_0 = c * mu^_0
+    # with c != 0, so mu^_0 decides and no content is formed
+    if st.e <= 0 or not st.dom.is_zero(st.mu_hat[0]):
+        return st.lc
+    return st.j + 1 - st.lc
 
 
 def min_nonvanishing(s: SequenceView, epsilon=None) -> PairedPoly:
@@ -45,7 +45,7 @@ def min_nonvanishing(s: SequenceView, epsilon=None) -> PairedPoly:
     """
     st = _run_nonzero(s, epsilon)
     dom = s.dom
-    vanishes = dom.is_zero(st.mu.f.constant_term())
+    vanishes = dom.is_zero(st.mu_hat[0])
     q = Poly(dom, [dom.zero] * st.e + [dom.one]) if vanishes and st.e > 0 else None
     out = _member(st, q, dom.one if vanishes else dom.zero)
     if out.f.degree() != _lc_bullet_of(st):
@@ -65,7 +65,7 @@ def mr_bullet_family(s: SequenceView, q: Poly, a, epsilon=None) -> PairedPoly:
     a = dom.coerce(a)
     if dom.is_zero(a):
         raise DomainError("a must be nonzero")
-    if not dom.is_zero(st.mu.f.constant_term()):
+    if not dom.is_zero(st.mu_hat[0]):
         raise DomainError("mu already has a nonzero constant term")
     if st.e <= 0:
         q = None
@@ -113,7 +113,7 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
     e = st.e
     if e <= 0:
         raise DomainError("exponent must be positive")
-    if not dom.is_zero(st.mu.f.constant_term()):
+    if not dom.is_zero(st.mu_hat[0]):
         raise DomainError("mu already has a nonzero constant term")
     if f_prime is not None and not f_prime.is_zero() and f_prime.degree() > e - 1:
         raise DomainError("deg(f_prime) must be at most %d" % (e - 1))
@@ -124,7 +124,7 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
         s_next = dom.mul(dom.inv(st.mu.f.lead()), dom.sub(dom.one, c))
     else:
         s_next = dom.zero if not dom.is_zero(c) else dom.one
-    prev_mu = st.mu
+    prev_mu, lc = st.mu, st.lc
     mr_step(st, s_next)
     out = st.mu
     if f_prime is not None and not f_prime.is_zero():
@@ -134,7 +134,7 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
     if dom.is_zero(out.f.constant_term()):
         raise AssertionError("constant term vanishes")
     # only a jump lifts the degree from LC to LC + e = n + 1 - LC
-    if out.f.degree() != n + 1 - prev_mu.f.degree():
+    if out.f.degree() != n + 1 - lc:
         raise AssertionError("appended term did not force a jump to the minimum")
     if not verify_identity(prev_mu.tilde(), out, st.nabla):
         raise AssertionError("pairing identity failed")
@@ -157,7 +157,7 @@ def char_decompose(f: Poly, s: SequenceView, epsilon=None) -> CharResult:
         raise DomainError("need at least two terms")
     if st.e <= 0:
         raise DomainError("exponent must be positive")
-    if not dom.is_zero(st.mu.f.constant_term()):
+    if not dom.is_zero(st.mu_hat[0]):
         raise DomainError("mu must have zero constant term")
     if dom.is_zero(f.constant_term()):
         raise DomainError("f must have a nonzero constant term")

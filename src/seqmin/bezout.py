@@ -86,11 +86,11 @@ def lrs_identity(s_prefix: SequenceView, epsilon=None) -> LrsResult:
     mu last changed more than deg(mu) steps ago.
     """
     res = minimal_realisation(s_prefix, epsilon)
-    d = res.mu.f.degree()
+    d = res.state.lc
     n = len(s_prefix)
     dom = s_prefix.dom
-    # mu changes at a step exactly when its discrepancy is nonzero
+    # mu changes at a step exactly when its discrepancy c * delta^ (c != 0) is nonzero
     stable = all(
-        dom.is_zero(step.delta) for step in res.state.steps[max(n - d, 0):]
+        dom.is_zero(step.delta_hat) for step in res.state.steps[max(n - d, 0):]
     )
     return LrsResult(f=res.bez_numu, nabla=res.nabla, mu=res.mu, stable=stable)

@@ -187,7 +187,7 @@ def cmd_minpoly(args):
         print(_dumps({"mu": res.mu.f, "verified": verified}, args.ring))
     else:
         print("mu = %s" % pretty_poly(res.mu.f, _text(args.ring)))
-        print("LC = %d" % res.mu.f.degree())
+        print("LC = %d" % res.state.lc)
     return 0 if verified else 1
 
 

@@ -119,12 +119,12 @@ class MRState:
     over mu_hat's list itself; no list is written once formed.  `bez` is the
     view (-mu2', mu2): both start at (1, 0) and share one update.  nabla =
     c * c' * rho is formed when first read and held until the next nonzero
-    step; a value set replaces it, and later steps multiply that value.
+    step.
     """
 
     __slots__ = ("dom", "j", "e", "c", "mu_hat", "c_prime", "mu_hat_prime",
                  "delta_hat_prime", "rho", "jump", "steps", "terms", "mults",
-                 "_mu", "_mu_prime", "_nabla", "_assigned")
+                 "_mu", "_mu_prime", "_nabla")
 
     def __init__(self, dom: Domain, epsilon=None):
         epsilon = dom.zero if epsilon is None else dom.coerce(epsilon)
@@ -134,7 +134,7 @@ class MRState:
         self.mu_hat = [dom.one]  # (1, 0)
         self.mu_hat_prime = [epsilon, dom.neg(dom.one)]  # (eps, -1)
         self.steps, self.terms = [], []
-        self.jump = self._mu = self._mu_prime = self._assigned = None
+        self.jump = self._mu = self._mu_prime = None
 
     @property
     def lc(self) -> int:
@@ -157,8 +157,6 @@ class MRState:
     @property
     def nabla(self):
         """c * c' * rho, the running product of discrepancies."""
-        if self._assigned is not None:
-            return self._assigned
         if self._nabla is None:
             c, c_prime, one = self.c, self.c_prime, self.dom.one
             if c is one and c_prime is one:
@@ -166,11 +164,6 @@ class MRState:
             else:
                 self._nabla = Product(c, c_prime, self.rho).value()
         return self._nabla
-
-    @nabla.setter
-    def nabla(self, value):
-        """Replace the running product; later steps multiply the value set."""
-        self._assigned = value
 
     @property
     def delta_prime(self):
@@ -254,8 +247,6 @@ def mr_step(st: MRState, s_next, _canonical=False) -> MRState:
         else:
             st.c = Product(c, c_prime, g)
         st.mu_hat, st._mu, st._nabla = new, None, None
-        if st._assigned is not None:  # Delta at a jump and Delta' otherwise, as set now
-            st._assigned = dom.mul(st.delta_prime, st._assigned)
     st.e = e + 1
     st.j = j
     st.steps.append(rec)
@@ -309,29 +300,23 @@ def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
     kernel `GFpPolyRing.inner`), so there the count is the nabla products
     alone.
     """
-    dom = s.dom
+    dom, calls = s.dom, 0
     if count_mults:
-        dom = copy.copy(dom)
-        dom.mul = _CountedMul(dom.mul)
+        dom, mul = copy.copy(dom), dom.mul
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        dom.mul = counted
     st = mr_init(dom, epsilon)
     for t in s:
         mr_step(st, t, True)
     if count_mults:
-        st.mults = dom.mul.calls
+        st.mults = calls
         del dom.mul  # the state's polynomials keep the copy, which no longer counts
     return st
-
-
-class _CountedMul:
-    """A domain's mul that counts its calls."""
-
-    def __init__(self, mul):
-        self.mul = mul
-        self.calls = 0
-
-    def __call__(self, a, b):
-        self.calls += 1
-        return self.mul(a, b)
 
 
 def mr_scan(s: SequenceView, epsilon=None):

@@ -23,7 +23,7 @@ def reverse_lc(s: SequenceView, epsilon=None) -> int:
     """Linear complexity of the reversed sequence."""
     if len(s) < 1:
         raise ValueError("empty sequence")
-    return run(s.reversed(), epsilon).mu.f.degree()
+    return run(s.reversed(), epsilon).lc
 
 
 def reciprocal_annihilates(f: Poly, s: SequenceView) -> bool:
@@ -49,13 +49,13 @@ def iy_classify(s: SequenceView, epsilon=None) -> IYResult:
     verdict is true iff rev_lc equals lc (mu_0 != 0) or lc + 1 (mu_0 = 0).
     """
     st = run(s, epsilon)
-    lc = st.mu.f.degree()
+    lc = st.lc
     if len(s) != 2 * lc:
         j = _longest_iy_prefix(st)
         hint = "no prefix has n = 2*LC" if j is None else "try a prefix of length %d" % j
         raise DomainError("need n = 2*LC exactly (n=%d, LC=%d); %s" % (len(s), lc, hint))
     rev = reverse_lc(s, epsilon)
-    expected = lc if not s.dom.is_zero(st.mu.f.constant_term()) else lc + 1
+    expected = lc if not s.dom.is_zero(st.mu_hat[0]) else lc + 1
     return IYResult(lc=lc, rev_lc=rev, verdict=rev == expected)
 
 

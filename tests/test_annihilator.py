@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-import seqmin.annihilator as ann
 from seqmin.annihilator import (
     char_decompose,
     extend_by_jump,
@@ -12,7 +11,7 @@ from seqmin.annihilator import (
     min_nonvanishing,
     mr_bullet_family,
 )
-from seqmin.lfsr import annihilates, run
+from seqmin.lfsr import MRState, annihilates, run
 from seqmin.oracle import brute_min_annihilator
 from seqmin.poly import PairedPoly, Poly, parse_poly
 from seqmin.ring import DomainError, GF2, GFp, IntegerRing
@@ -72,14 +71,9 @@ def test_min_nonvanishing_proves_its_pairing(monkeypatch):
     nabla moved by one the call raises, on every branch over GF(2), GF(3)
     and the integers."""
     rng, seen = seeded(53), {}
-    real = ann.run
-
-    def moved(s, epsilon=None):
-        st = real(s, epsilon)
-        st.nabla = st.dom.add(st.nabla, st.dom.one)
-        return st
-
-    monkeypatch.setattr(ann, "run", moved)
+    real = MRState.nabla
+    monkeypatch.setattr(MRState, "nabla", property(
+        lambda st: st.dom.add(real.fget(st), st.dom.one)))
     for dom in (F2, F3, Z):
         for _ in range(40):
             s = random_sequence(dom, rng.randint(1, 10), rng)
@@ -103,14 +97,10 @@ def test_annihilator_cli_exits_1_on_a_failed_pairing(argv):
     AssertionError ends the process with status 1, as the console script's."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
-            "import seqmin.annihilator as ann\n"
             "from seqmin.cli import main\n"
-            "real = ann.run\n"
-            "def moved(s, epsilon=None):\n"
-            "    st = real(s, epsilon)\n"
-            "    st.nabla = st.dom.add(st.nabla, st.dom.one)\n"
-            "    return st\n"
-            "ann.run = moved\n"
+            "from seqmin.lfsr import MRState\n"
+            "real = MRState.nabla\n"
+            "MRState.nabla = property(lambda st: st.dom.add(real.fget(st), st.dom.one))\n"
             "sys.exit(main(sys.argv[2:]))\n")
     out = subprocess.run([sys.executable, "-I", "-c", code, src, "annihilator"] + argv,
                          capture_output=True, text=True)
