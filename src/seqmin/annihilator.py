@@ -81,16 +81,13 @@ def _member(st, q, a) -> PairedPoly:
     tilde(mu) . (q*mu + a*mu') = -a * nabla, or tilde(mu') . (mu + a*mu')
     = nabla.
     """
-    dom = st.dom
+    dom, mu, mu_prime = st.dom, st.mu, st.mu_prime
     if q is None:
-        out = st.mu + st.mu_prime.scale(a)
-        held = verify_identity(st.mu_prime.tilde(), out, st.nabla)
+        out = mu + mu_prime.scale(a)
+        held = verify_identity(mu_prime.tilde(), out, st.nabla)
     else:
-        out = PairedPoly(
-            q * st.mu.f + st.mu_prime.f.scale(a),
-            q * st.mu.f2 + st.mu_prime.f2.scale(a),
-        )
-        held = verify_identity(st.mu.tilde(), out, dom.neg(dom.mul(a, st.nabla)))
+        out = PairedPoly(q * mu.f + mu_prime.f.scale(a), q * mu.f2 + mu_prime.f2.scale(a))
+        held = verify_identity(mu.tilde(), out, dom.neg(dom.mul(a, st.nabla)))
     if not held:
         raise AssertionError("pairing identity failed")
     if dom.is_zero(out.f.constant_term()):
@@ -118,12 +115,13 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
     if f_prime is not None and not f_prime.is_zero() and f_prime.degree() > e - 1:
         raise DomainError("deg(f_prime) must be at most %d" % (e - 1))
     n = len(s)
-    # discrepancy of the extended prefix: c + lead(mu) * s_{n+1}
-    c = partial_discrepancy(st)
+    # discrepancy of the extended prefix over mu's content: partial +
+    # lead(mu^) * s_{n+1}, with mu^ = mu over a field
+    partial = partial_discrepancy(st)
     if dom.is_field:
-        s_next = dom.mul(dom.inv(st.mu.f.lead()), dom.sub(dom.one, c))
+        s_next = dom.mul(dom.inv(st.mu_hat[-1]), dom.sub(dom.one, partial))
     else:
-        s_next = dom.zero if not dom.is_zero(c) else dom.one
+        s_next = dom.zero if not dom.is_zero(partial) else dom.one
     prev_mu, lc = st.mu, st.lc
     mr_step(st, s_next)
     out = st.mu
@@ -136,9 +134,10 @@ def extend_by_jump(s: SequenceView, epsilon=None, f_prime: Poly = None) -> Exten
     # only a jump lifts the degree from LC to LC + e = n + 1 - LC
     if out.f.degree() != n + 1 - lc:
         raise AssertionError("appended term did not force a jump to the minimum")
-    if not verify_identity(prev_mu.tilde(), out, st.nabla):
+    nabla = st.nabla
+    if not verify_identity(prev_mu.tilde(), out, nabla):
         raise AssertionError("pairing identity failed")
-    return ExtendResult(s_next=s_next, mu_ext=out, nabla=st.nabla)
+    return ExtendResult(s_next=s_next, mu_ext=out, nabla=nabla)
 
 
 def char_decompose(f: Poly, s: SequenceView, epsilon=None) -> CharResult:

@@ -166,8 +166,9 @@ def _realisation(args, trace=False):
     rows = []
     if trace:
         for st in mr_scan(args.seq, args.epsilon):
+            mu, mu_prime = st.mu, st.mu_prime
             rows.append((st.j, st.steps[-1].delta, st.e,
-                         st.mu.f, st.mu.f2, st.mu_prime.f, st.mu_prime.f2))
+                         mu.f, mu.f2, mu_prime.f, mu_prime.f2))
         if not rows:
             raise ValueError("empty sequence")
         res = st.result()
@@ -233,14 +234,13 @@ def cmd_bezout(args):
     dom = args.ring
     u = parse_poly(dom, args.u)
     u2 = parse_poly(dom, args.u2)
+    if args.oracle and not dom.is_field:
+        raise DomainError("oracle cross-check needs a field")
     res = bz.bezout_pair(u, u2, count_mults=args.count_mults)
     # g divides u and u2: zero pseudo-remainders (a constant g divides both)
     verified = all(res.g.degree() == 0 or pseudo_divide(v, res.g)[1].is_zero()
                    for v in (u, u2))
     if args.oracle:
-        if not dom.is_field:
-            print("oracle cross-check needs a field", file=sys.stderr)
-            return 2
         g, a, a2 = ext_euclid(u, u2)
         oracle_ok = res.g == g.scale(res.nabla) or res.g == g.scale(
             dom.neg(res.nabla)
@@ -271,8 +271,7 @@ def cmd_bezout(args):
 def cmd_plcp(args):
     if args.exhaustive is not None:
         if not isinstance(args.ring, GF2):
-            print("--exhaustive checks GF(2)^N only; use --ring gf2", file=sys.stderr)
-            return 2
+            raise DomainError("--exhaustive checks GF(2)^N only; use --ring gf2")
         ok = plcp_mod.check_stable_theorem(args.exhaustive)
         counts = plcp_mod.count_plcp(2, args.exhaustive)
         if args.json:

@@ -28,17 +28,17 @@ by g is exact (tilde(mu^') . (mu^, mu2^) = rho on the primitive parts, so
 g divides x * rho), and x * rho is split together with the list, so the
 quotient comes out of the same gcd.
 
-Nothing else is formed by the pass.  Over the integers the contents grow
-doubly exponentially while mu^ and rho stay small, so c and c' are
-`ring.Product` nodes, c <- Product(c, c', g), made in O(1); their values
-are formed on first read, each at most once, as are nabla = c * c' * rho,
-each step log's Delta = c * delta^, and the coefficients of the views
-`MRState.mu` and `mu_prime` (`poly.ScaledPoly`, which records its content,
-so `verify_identity` takes c * c' from the records).  A content or nabla
-past `ring.MAX_CONTENT_BITS` is refused with a DomainError, and
-`MRState.primitive` gives the identity on the primitive parts, which forms
-no content at any length.  Over a field and GF(p)[y] every g, c and c' is
-one, rho is nabla, and mu is mu^ itself.
+Nothing else is carried.  Over the integers the contents grow doubly
+exponentially while mu^ and rho stay small, so c and c' are `ring.Product`
+nodes, c <- Product(c, c', g), made in O(1), each formed at most once, and
+only when read.  Everything else is read off the state and built on each
+read: the views `MRState.mu` and `mu_prime` (`poly.ScaledPoly`, which
+records its content, so `verify_identity` takes c * c' from the records),
+nabla = c * c' * rho, Delta' = c' * delta^' and each step log's Delta =
+c * delta^.  A content or nabla past `ring.MAX_CONTENT_BITS` is refused
+with a DomainError, and `MRState.primitive` gives the identity on the
+primitive parts, which forms no content at any length.  Over a field and
+GF(p)[y] every g, c and c' is one, rho is nabla, and mu is mu^ itself.
 
 Each step costs one discrepancy, the `Domain.dot` of mu^ with the last
 LC + 1 terms, one update (`Domain.axpy`) of the interleaved list, one
@@ -70,22 +70,19 @@ MRResult = namedtuple(
 class StepRecord:
     """One step's log: the discrepancy, the exponent before the step, whether mu jumped.
 
-    The discrepancy Delta = c * delta_hat, with c the content mu held before
-    the step, is formed when first read; c is None when it is one (always
-    over a field and GF(p)[y]), and then Delta is delta_hat.
+    Carried: delta_hat and c, the content mu held before the step, or None
+    when it is one (always over a field and GF(p)[y]).  Read: the
+    discrepancy Delta = c * delta_hat, formed on each read.
     """
 
-    __slots__ = ("delta_hat", "e_before", "jumped", "c", "_delta")
+    __slots__ = ("delta_hat", "e_before", "jumped", "c")
 
     def __init__(self, delta_hat, e_before, jumped, c=None):
         self.delta_hat, self.e_before, self.jumped, self.c = delta_hat, e_before, jumped, c
-        self._delta = delta_hat if c is None else None
 
     @property
     def delta(self):
-        if self._delta is None:
-            self._delta = formed(self.c) * self.delta_hat
-        return self._delta
+        return self.delta_hat if self.c is None else formed(self.c) * self.delta_hat
 
 
 def annihilates(f: Poly, s: SequenceView) -> bool:
@@ -105,36 +102,34 @@ def annihilates(f: Poly, s: SequenceView) -> bool:
 class MRState:
     """Mutable engine state; one instance per sequence being consumed.
 
-    `mr_step` updates the factors of mu = c * mu_hat and mu' = c_prime *
-    mu_hat_prime, rho and delta_hat_prime, and keeps the step record of the
-    last jump (`jump`), whose Delta is delta'.  A factor pair is one bare
-    list with its two polynomials interleaved, mu^_0, mu2^_0, mu^_1, mu2^_1,
-    ..., trimmed: x^k times the pair is that list shifted by 2k, so one
-    `Domain.axpy` updates both, and deg mu2 < deg mu puts lead(mu^) last.
-    `mu` and `mu_prime` are PairedPoly views of the products, built when
-    first read (Polys of the factor's lists while its content is one, always
-    over a field or GF(p)[y]) and held in a slot: mu's is cleared whenever
-    mu_hat or c changes; mu''s is cleared only at a jump, where it takes
-    over mu's, since the new mu' is the old mu.  At a jump mu_hat' takes
-    over mu_hat's list itself; no list is written once formed.  `bez` is the
-    view (-mu2', mu2): both start at (1, 0) and share one update.  nabla =
-    c * c' * rho is formed when first read and held until the next nonzero
-    step.
+    Carried, and written by `mr_step` alone: the step count j, the exponent
+    e, the factors of mu = c * mu_hat and mu' = c_prime * mu_hat_prime, the
+    primitive discrepancy delta_hat_prime of the last jump, rho = nabla /
+    (c * c'), and the logs of steps and terms.  A factor pair is one bare
+    list with its two polynomials interleaved, mu^_0, mu2^_0, mu^_1,
+    mu2^_1, ..., trimmed: x^k times the pair is that list shifted by 2k, so
+    one `Domain.axpy` updates both, and deg mu2 < deg mu puts lead(mu^)
+    last.  At a jump mu_hat' takes over mu_hat's list itself and c' takes
+    over c; no list is written once formed.
+
+    Read, and built on each read, so a caller that needs one twice takes it
+    once: LC, the views `mu` and `mu_prime` (PairedPolys of the products,
+    Polys of the factor's lists while its content is one, always over a
+    field or GF(p)[y]), `bez` = (-mu2', mu2), nabla = c * c' * rho and
+    Delta' = c' * delta_hat'.
     """
 
     __slots__ = ("dom", "j", "e", "c", "mu_hat", "c_prime", "mu_hat_prime",
-                 "delta_hat_prime", "rho", "jump", "steps", "terms", "mults",
-                 "_mu", "_mu_prime", "_nabla")
+                 "delta_hat_prime", "rho", "steps", "terms", "mults")
 
     def __init__(self, dom: Domain, epsilon=None):
         epsilon = dom.zero if epsilon is None else dom.coerce(epsilon)
         self.dom = dom
         self.j, self.e, self.mults = 0, 1, 0
-        self.c = self.c_prime = self.delta_hat_prime = self.rho = self._nabla = dom.one
+        self.c = self.c_prime = self.delta_hat_prime = self.rho = dom.one
         self.mu_hat = [dom.one]  # (1, 0)
         self.mu_hat_prime = [epsilon, dom.neg(dom.one)]  # (eps, -1)
         self.steps, self.terms = [], []
-        self.jump = self._mu = self._mu_prime = None
 
     @property
     def lc(self) -> int:
@@ -143,32 +138,27 @@ class MRState:
     @property
     def mu(self) -> PairedPoly:
         """The realisation (mu, mu2) = c * mu_hat."""
-        if self._mu is None:
-            self._mu = _scaled(self.dom, self.c, self.mu_hat)
-        return self._mu
+        return _scaled(self.dom, self.c, self.mu_hat)
 
     @property
     def mu_prime(self) -> PairedPoly:
         """The prejump pair (mu', mu2') = c_prime * mu_hat_prime."""
-        if self._mu_prime is None:
-            self._mu_prime = _scaled(self.dom, self.c_prime, self.mu_hat_prime)
-        return self._mu_prime
+        return _scaled(self.dom, self.c_prime, self.mu_hat_prime)
 
     @property
     def nabla(self):
         """c * c' * rho, the running product of discrepancies."""
-        if self._nabla is None:
-            c, c_prime, one = self.c, self.c_prime, self.dom.one
-            if c is one and c_prime is one:
-                self._nabla = self.rho
-            else:
-                self._nabla = Product(c, c_prime, self.rho).value()
-        return self._nabla
+        c, c_prime, one = self.c, self.c_prime, self.dom.one
+        if c is one and c_prime is one:
+            return self.rho
+        return Product(c, c_prime, self.rho).value()
 
     @property
     def delta_prime(self):
-        """Delta', the discrepancy of the last jump (one before any jump)."""
-        return self.dom.one if self.jump is None else self.jump.delta
+        """Delta' = c' * delta_hat', the last jump's Delta (one before any jump)."""
+        c_prime = self.c_prime  # at a jump c' takes over c, mu's content before it
+        return (self.delta_hat_prime if c_prime is self.dom.one
+                else formed(c_prime) * self.delta_hat_prime)
 
     @property
     def bez(self) -> PairedPoly:
@@ -177,12 +167,13 @@ class MRState:
 
     def result(self) -> MRResult:
         """The realisation, prejump pair and both Bezout pairs held now."""
-        bez = self.bez  # (-mu2', mu2); tilde(mu') = (-mu2', mu') shares its -mu2'
+        mu, mu_prime = self.mu, self.mu_prime
+        neg = -mu_prime.f2  # tilde(mu') = (-mu2', mu') and bez = (-mu2', mu2) share it
         return MRResult(
-            mu=self.mu,
-            mu_prime=self.mu_prime,
-            bez_numu=PairedPoly(bez.f, self.mu_prime.f),
-            bez_fg=bez,
+            mu=mu,
+            mu_prime=mu_prime,
+            bez_numu=PairedPoly(neg, mu_prime.f),
+            bez_fg=PairedPoly(neg, mu.f2),
             nabla=self.nabla,
             state=self,
         )
@@ -239,14 +230,13 @@ def mr_step(st: MRState, s_next, _canonical=False) -> MRState:
         c, c_prime = st.c, st.c_prime
         rec = StepRecord(delta_hat, e_before, jumped, None if c is one else c)
         if jumped:
-            st.c_prime, st.mu_hat_prime, st._mu_prime = c, st.mu_hat, st._mu
-            st.delta_hat_prime, st.jump = delta_hat, rec
+            st.c_prime, st.mu_hat_prime, st.delta_hat_prime = c, st.mu_hat, delta_hat
             e = -e
         if c is one and c_prime is one:  # always over a field and GF(p)[y]
             st.c = one if g == one else g
         else:
             st.c = Product(c, c_prime, g)
-        st.mu_hat, st._mu, st._nabla = new, None, None
+        st.mu_hat = new
     st.e = e + 1
     st.j = j
     st.steps.append(rec)
@@ -281,9 +271,9 @@ def _scaled(dom: Domain, c, cs) -> PairedPoly:
 
 
 def partial_discrepancy(st: MRState):
-    """The next discrepancy minus lead(mu) * s_{j+1}: mu_k s_{k+j+1-LC}, k < LC."""
-    mu = st.mu.f
-    return st.dom.dot(mu.coeffs[:-1], st.terms[st.j - mu.degree():])
+    """The next discrepancy over c minus lead(mu^) * s_{j+1}: mu^_k s_{k+j+1-LC}, k < LC."""
+    lc = st.lc
+    return st.dom.dot(st.mu_hat[0:2 * lc:2], st.terms[st.j - lc:])
 
 
 def run(s: SequenceView, epsilon=None, count_mults: bool = False) -> MRState:
@@ -336,8 +326,10 @@ def mr_scan(s: SequenceView, epsilon=None):
 
 
 def minimal_polynomial(s: SequenceView, epsilon=None) -> Poly:
-    """A minimal polynomial of s (not normalized monic)."""
-    return minimal_realisation(s, epsilon).mu.f
+    """A minimal polynomial of s (not normalized monic); forms no nabla."""
+    if len(s) < 1:
+        raise ValueError("empty sequence")
+    return run(s, epsilon).mu.f
 
 
 def minimal_realisation(s: SequenceView, epsilon=None) -> MRResult:

@@ -131,7 +131,7 @@ def random_plcp_sequence(dom: GFp, n: int, rng) -> SequenceView:
             target = rng.randrange(1, dom.p)
         else:
             target = rng.randrange(dom.p)
-        s_j = dom.mul(dom.inv(st.mu.f.lead()), dom.sub(target, partial))
+        s_j = dom.mul(dom.inv(st.mu_hat[-1]), dom.sub(target, partial))
         mr_step(st, s_j)
         if not st.steps[-1].delta == target:
             raise AssertionError("discrepancy inversion failed")

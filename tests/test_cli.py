@@ -443,6 +443,25 @@ def test_plcp_exhaustive_needs_gf2(capsys, ring):
     assert "GF(2)" in err and "--ring gf2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bezout", "--ring", "int", "--u", "0,1", "--u2", "1", "--oracle"],
+     "oracle cross-check needs a field"),
+    (["bezout", "--ring", "gfp_poly:3", "--u", "(1),(1)", "--u2", "(2)", "--oracle"],
+     "oracle cross-check needs a field"),
+    (["plcp", "--exhaustive", "4", "--ring", "gfp:7"],
+     "--exhaustive checks GF(2)^N only; use --ring gf2"),
+])
+def test_option_needing_another_ring_is_a_usage_error(capsys, monkeypatch, argv, message):
+    """bezout --oracle over a non-field and plcp --exhaustive off GF(2) are
+    refused as every usage error is, before any pass runs: `error: ...` on
+    stderr and exit 2."""
+    calls = []
+    monkeypatch.setattr(cli.bz, "bezout_pair", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(cli.plcp_mod, "check_stable_theorem", calls.append)
+    assert run_cli(capsys, *argv) == (2, "", "error: %s\n" % message)
+    assert calls == []
+
+
 def test_plcp_exhaustive_over_gfp_2_is_gf2(capsys):
     """`gfp:2` names GF(2), so the exhaustive check runs and prints what `gf2` does."""
     code, out, err = run_cli(capsys, "plcp", "--ring", "gfp:2", "--exhaustive", "4")

@@ -15,6 +15,7 @@ from seqmin.lfsr import (
     mr_step,
     next_identity,
     normalize_monic,
+    partial_discrepancy,
     read_step_log,
     run,
     verify_identity,
@@ -409,3 +410,38 @@ def test_integers_at_scale_form_no_content(n):
     with pytest.raises(DomainError, match="MAX_CONTENT_BITS"):
         st.nabla
     assert _formed_contents(st) == (0, nodes)
+
+
+def test_minimal_polynomial_forms_no_nabla():
+    """A 36-term integer input whose c (15.8 M bits) is within
+    ring.MAX_CONTENT_BITS while nabla's bound (22.4 M bits) is past it:
+    minimal_polynomial reads mu off the pass and returns, though nabla,
+    and so minimal_realisation, is refused."""
+    s = SequenceView(Z, [4, -5, 3, -4, 5, 3, 3, 5, -4, -3, 4, 5, 5, 5, -3, -5, 3, 5,
+                         4, -5, -4, 4, 3, -3, 3, 5, -5, 3, -5, -3, 5, 4, 4, 4, 3, 5])
+    f = minimal_polynomial(s)
+    st = run(s)
+    assert annihilates(f.base, s) and f.base.degree() == st.lc == 18
+    assert f.c.bits <= MAX_CONTENT_BITS
+    with pytest.raises(DomainError, match="MAX_CONTENT_BITS"):
+        st.nabla
+
+
+def test_partial_discrepancy_reads_the_primitive_lists(monkeypatch):
+    """On a 200-term integer state, whose contents are far past the limit,
+    the partial discrepancy is the dot of mu^'s lower coefficients with the
+    last LC terms and forms no content; with lead(mu^) * s_{n+1} added it
+    is the next step's delta^."""
+    rng = random.Random("partial discrepancy over Z")
+    s = SequenceView(Z, [rng.choice((-5, -4, -3, 3, 4, 5)) for _ in range(200)])
+    st = run(s)
+
+    def refuse(node):
+        raise AssertionError("a content was formed")
+
+    monkeypatch.setattr(Product, "value", refuse)
+    mu_hat, lc = st.primitive()[1].f, st.lc
+    partial = partial_discrepancy(st)
+    assert partial == sum(a * b for a, b in zip(mu_hat.coeffs[:-1], s.terms[200 - lc:]))
+    mr_step(st, 3)
+    assert st.steps[-1].delta_hat == partial + 3 * mu_hat.lead()
