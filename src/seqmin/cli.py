@@ -109,15 +109,17 @@ def build_parser():
     return ap
 
 
-def _dumps(out, dom) -> str:
+def _dumps(out, dom=None) -> str:
     """json.dumps(out) for an answer that holds its coefficient arrays as Polys,
-    and a PairedPoly as the array of its two.
+    and a PairedPoly as the array of its two: the writer of every --json
+    answer, `dom` its ring (None for one that has none, as `bench`'s).
 
     Over the integers the text is put together here, with json.dumps's
     separators, because json.dumps writes an int by int.__repr__, quadratic
     in its length before CPython 3.12, and the answers' ints reach millions
     of bits.  One ring.DecimalText writes every int, a Poly's through
-    `poly.coeff_texts`, so that each long content is converted once.
+    `poly.coeff_texts`, so that each long content is converted once.  Every
+    other ring's answer is json.dumps's own, which writes short ints faster.
     """
     if not isinstance(dom, IntegerRing):
         return json.dumps(out, default=lambda v: (v.f, v.f2) if isinstance(v, PairedPoly)
@@ -275,20 +277,20 @@ def cmd_plcp(args):
         ok = plcp_mod.check_stable_theorem(args.exhaustive)
         counts = plcp_mod.count_plcp(2, args.exhaustive)
         if args.json:
-            print(json.dumps({"n": args.exhaustive, "equivalent": ok,
-                              "plcp_count": counts}))
+            print(_dumps({"n": args.exhaustive, "equivalent": ok,
+                          "plcp_count": counts}, args.ring))
         else:
             print("n = %d: profile/stability equivalent: %s (count %d)"
                   % (args.exhaustive, ok, counts))
         return 0 if ok else 1
     report = plcp_mod.is_plcp(args.seq)
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "is_plcp": report.is_plcp,
             "profile": report.profile,
             "odd_discrepancies": report.odd_discrepancies,
             "exponents": report.exponent_trace,
-        }))
+        }, args.ring))
     else:
         print("PLCP: %s" % report.is_plcp)
         print("profile = %s" % list(report.profile))
@@ -325,15 +327,15 @@ def cmd_reverse_lc(args):
     if args.classify:
         res = rev.iy_classify(args.seq, args.epsilon)
         if args.json:
-            print(json.dumps({"lc": res.lc, "rev_lc": res.rev_lc,
-                              "verified": res.verdict}))
+            print(_dumps({"lc": res.lc, "rev_lc": res.rev_lc,
+                          "verified": res.verdict}, args.ring))
         else:
             print("LC = %d, reversed LC = %d, dichotomy holds: %s"
                   % (res.lc, res.rev_lc, res.verdict))
         return 0 if res.verdict else 1
     lc = rev.reverse_lc(args.seq, args.epsilon)
     if args.json:
-        print(json.dumps({"rev_lc": lc}))
+        print(_dumps({"rev_lc": lc}, args.ring))
     else:
         print("reversed LC = %d" % lc)
     return 0
@@ -366,7 +368,7 @@ def cmd_bench(args):
         rows.append(row)
     alpha = _fit_exponent(rows)
     if args.json:
-        print(json.dumps({"rows": rows, "alpha": alpha}))
+        print(_dumps({"rows": rows, "alpha": alpha}))
     else:
         for row in rows:
             line = "n = %7d  %8.4f s" % (row["n"], row["seconds"])
@@ -379,13 +381,14 @@ def cmd_bench(args):
 
 def _fit_exponent(rows):
     """Least-squares slope of log(time) against log(n); None for < 2 distinct n."""
-    pts = [(math.log(r["n"]), math.log(max(r["seconds"], 1e-9))) for r in rows]
-    n = len(pts)
-    mx = sum(x for x, _ in pts) / n
-    my = sum(y for _, y in pts) / n
-    num = sum((x - mx) * (y - my) for x, y in pts)
-    den = sum((x - mx) ** 2 for x, y in pts)
-    return num / den if den else None
+    import statistics  # it imports decimal, which `import seqmin.cli` must not
+
+    try:
+        return statistics.linear_regression(
+            [math.log(r["n"]) for r in rows],
+            [math.log(max(r["seconds"], 1e-9)) for r in rows]).slope
+    except statistics.StatisticsError:
+        return None
 
 
 def _glue_term_lists(argv):

@@ -554,15 +554,7 @@ class GFpPolyRing(Domain):
         return tuple(cs[:i])
 
     def add(self, a, b):
-        """Coefficientwise; only a sum of equal lengths can need a trim."""
-        if len(a) < len(b):
-            a, b = b, a
-        p = self.p
-        out = [(x + y) % p for x, y in zip(a, b)]
-        if len(a) > len(b):
-            out += a[len(b):]
-            return tuple(out)
-        return self._trim(out)
+        return self._trim([(x + y) % self.p for x, y in zip_longest(a, b, fillvalue=0)])
 
     def neg(self, a):
         return tuple((-c) % self.p for c in a)

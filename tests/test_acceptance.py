@@ -127,9 +127,10 @@ def test_criterion_04_identity_suites_random():
             st = mr_init(dom)
             for t in s:
                 mr_step(st, t)
-                assert verify_pair_identity(st.mu_prime.tilde(), st.mu, st.nabla)
+                res = st.result()  # bez_numu is tilde(mu'), bez_fg is bez
+                assert verify_pair_identity(res.bez_numu, res.mu, res.nabla)
                 assert verify_pair_identity(
-                    st.bez, PairedPoly(st.mu.f, st.mu_prime.f), st.nabla
+                    res.bez_fg, PairedPoly(res.mu.f, res.mu_prime.f), res.nabla
                 )
 
 

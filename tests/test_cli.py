@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import seqmin.cli as cli
+import seqmin.plcp as plcp_mod
 from seqmin.cli import main
 from seqmin.lfsr import run, verify_identity
 from seqmin.poly import PairedPoly, Poly
@@ -358,6 +359,40 @@ def test_integer_answers_convert_each_long_int_once(capsys, monkeypatch, argv):
     assert code == 0
     assert len(converted) == len(set(converted))
     assert all(converted.count(c) == 1 for c in contents)
+
+
+def test_plcp_json_over_int_writes_through_decimal_text(capsys, monkeypatch):
+    """plcp --json over the integers writes its odd discrepancies through the
+    answer's one DecimalText, as every --json answer is written: on the CI
+    step's 30 terms three of them are past DECIMAL_BITS (the longest 468 k
+    bits), and each is converted once; the report reads back unchanged."""
+    converted = []
+    real = DecimalText._decimal
+
+    def counted(self, n):
+        if n not in self._known:
+            converted.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(DecimalText, "_decimal", counted)
+    terms = [int(t) for t in CI_INT_TERMS.split(",")]
+    report = plcp_mod.is_plcp(SequenceView(IntegerRing(), terms))
+    long = [d for d in report.odd_discrepancies if d.bit_length() > DECIMAL_BITS]
+    assert len(long) == 3
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        want = {"is_plcp": report.is_plcp, "profile": list(map(str, report.profile)),
+                "odd_discrepancies": list(map(str, report.odd_discrepancies)),
+                "exponents": list(map(str, report.exponent_trace))}
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    code, out, _ = run_cli(capsys, "plcp", "--ring", "int", "--json", "--seq=" + CI_INT_TERMS)
+    assert code == 0
+    assert sorted(converted) == sorted(long)
+    assert json.loads(out, parse_int=str) == want
 
 
 def test_mr_past_the_content_limit_exits_2(capsys):
