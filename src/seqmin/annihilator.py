@@ -25,15 +25,7 @@ CharResult = namedtuple("CharResult", ["q", "r", "scale", "verdict"])
 
 def lc_bullet(s: SequenceView, epsilon=None) -> int:
     """Least degree of an annihilator with nonzero constant term."""
-    return _lc_bullet_of(_run_nonzero(s, epsilon))
-
-
-def _lc_bullet_of(st) -> int:
-    # LC when e <= 0 or mu_0 != 0, otherwise n + 1 - LC; mu_0 = c * mu^_0
-    # with c != 0, so mu^_0 decides and no content is formed
-    if st.e <= 0 or not st.dom.is_zero(st.mu_hat[0]):
-        return st.lc
-    return st.j + 1 - st.lc
+    return _run_nonzero(s, epsilon).lc_bullet
 
 
 def min_nonvanishing(s: SequenceView, epsilon=None) -> PairedPoly:
@@ -48,7 +40,7 @@ def min_nonvanishing(s: SequenceView, epsilon=None) -> PairedPoly:
     vanishes = dom.is_zero(st.mu_hat[0])
     q = Poly(dom, [dom.zero] * st.e + [dom.one]) if vanishes and st.e > 0 else None
     out = _member(st, q, dom.one if vanishes else dom.zero)
-    if out.f.degree() != _lc_bullet_of(st):
+    if out.f.degree() != st.lc_bullet:
         raise AssertionError("degree does not meet the minimum")
     return out
 

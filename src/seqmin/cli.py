@@ -111,7 +111,7 @@ def build_parser():
 
 def _dumps(out, dom=None) -> str:
     """json.dumps(out) for an answer that holds its coefficient arrays as Polys,
-    and a PairedPoly as the array of its two: the writer of every --json
+    and a pair of them as the tuple it is: the writer of every --json
     answer, `dom` its ring (None for one that has none, as `bench`'s).
 
     Over the integers the text is put together here, with json.dumps's
@@ -122,13 +122,10 @@ def _dumps(out, dom=None) -> str:
     other ring's answer is json.dumps's own, which writes short ints faster.
     """
     if not isinstance(dom, IntegerRing):
-        return json.dumps(out, default=lambda v: (v.f, v.f2) if isinstance(v, PairedPoly)
-                          else v.coeffs)
+        return json.dumps(out, default=lambda v: v.coeffs)
     text = DecimalText()
 
     def dump(v):
-        if isinstance(v, PairedPoly):
-            v = v.f, v.f2
         if isinstance(v, dict):
             return "{%s}" % ", ".join("%s: %s" % (json.dumps(k), dump(x)) for k, x in v.items())
         if isinstance(v, (list, tuple)):

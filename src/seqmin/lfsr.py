@@ -67,7 +67,7 @@ MRResult = namedtuple(
 )
 
 
-class StepRecord:
+class StepRecord(namedtuple("StepRecord", "delta_hat e_before jumped c", defaults=(None,))):
     """One step's log: the discrepancy, the exponent before the step, whether mu jumped.
 
     Carried: delta_hat and c, the content mu held before the step, or None
@@ -75,10 +75,7 @@ class StepRecord:
     discrepancy Delta = c * delta_hat, formed on each read.
     """
 
-    __slots__ = ("delta_hat", "e_before", "jumped", "c")
-
-    def __init__(self, delta_hat, e_before, jumped, c=None):
-        self.delta_hat, self.e_before, self.jumped, self.c = delta_hat, e_before, jumped, c
+    __slots__ = ()
 
     @property
     def delta(self):
@@ -113,10 +110,10 @@ class MRState:
     over c; no list is written once formed.
 
     Read, and built on each read, so a caller that needs one twice takes it
-    once: LC, the views `mu` and `mu_prime` (PairedPolys of the products,
-    Polys of the factor's lists while its content is one, always over a
-    field or GF(p)[y]), `bez` = (-mu2', mu2), nabla = c * c' * rho and
-    Delta' = c' * delta_hat'.
+    once: LC, LC-bullet, the views `mu` and `mu_prime` (PairedPolys of the
+    products, Polys of the factor's lists while its content is one, always
+    over a field or GF(p)[y]), `bez` = (-mu2', mu2), nabla = c * c' * rho
+    and Delta' = c' * delta_hat'.
     """
 
     __slots__ = ("dom", "j", "e", "c", "mu_hat", "c_prime", "mu_hat_prime",
@@ -134,6 +131,15 @@ class MRState:
     @property
     def lc(self) -> int:
         return (len(self.mu_hat) - 1) // 2
+
+    @property
+    def lc_bullet(self) -> int:
+        """Least degree of an annihilator with nonzero constant term (the
+        lower-bound lemma): LC, or j + 1 - LC when e > 0 and mu_0 = 0, which
+        mu^_0 decides since c != 0, so no content is formed."""
+        if self.e > 0 and self.dom.is_zero(self.mu_hat[0]):
+            return self.j + 1 - self.lc
+        return self.lc
 
     @property
     def mu(self) -> PairedPoly:

@@ -17,9 +17,15 @@ from .ring import DomainError, GF2, GFp
 from .sequence import SequenceView, bits_from_sequence
 
 
-PlcpReport = namedtuple(
-    "PlcpReport", ["is_plcp", "profile", "odd_discrepancies", "exponent_trace"]
-)
+class PlcpReport(namedtuple("PlcpReport", "is_plcp profile odd_steps exponent_trace")):
+    """The verdict, profile and exponents, and the odd steps' `StepRecord`s;
+    `odd_discrepancies` forms their Delta = c * delta^ on each read."""
+
+    __slots__ = ()
+
+    @property
+    def odd_discrepancies(self):
+        return tuple(rec.delta for rec in self.odd_steps)
 
 
 def is_plcp(s: SequenceView) -> PlcpReport:
@@ -29,9 +35,10 @@ def is_plcp(s: SequenceView) -> PlcpReport:
     dom = s.dom
     st = run(s)
     log = read_step_log(st)
-    odd = tuple(st.steps[j - 1].delta for j in range(1, len(s) + 1, 2))
+    odd = tuple(st.steps[0::2])
     by_profile = all(lc == (j + 1) // 2 for j, lc in enumerate(log.profile, start=1))
-    by_delta = all(not dom.is_zero(d) for d in odd)
+    # Delta = c * delta^ with c != 0 in a domain: delta^ decides, no content formed
+    by_delta = all(not dom.is_zero(rec.delta_hat) for rec in odd)
     by_exponent = all(
         e == (1 if j % 2 == 0 else 0) for j, e in enumerate(log.exponents, start=1)
     )

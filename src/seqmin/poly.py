@@ -14,10 +14,11 @@ of f * (s_1 x^-1 + ...), the prefix of the series u2/u, and pseudo-division.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import zip_longest
 
 from .ring import DecimalText, Domain, DomainError, IntegerRing, check_same_domain, formed
-from .sequence import SequenceView, _split_terms
+from .sequence import SequenceView, parse_sequence
 
 
 class Poly:
@@ -254,18 +255,14 @@ def pseudo_divide(f: Poly, g: Poly):
     return q, r, scale
 
 
-class PairedPoly:
-    """A pair (f, f2) of polynomials over one domain."""
+class PairedPoly(namedtuple("PairedPoly", "f f2")):
+    """A pair (f, f2) of polynomials over one domain, added component-wise."""
 
-    __slots__ = ("f", "f2")
+    __slots__ = ()
 
-    def __init__(self, f: Poly, f2: Poly):
+    def __new__(cls, f: Poly, f2: Poly):
         check_same_domain(f.dom, f2.dom)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "f2", f2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairedPoly is immutable")
+        return super().__new__(cls, f, f2)
 
     @property
     def dom(self):
@@ -280,12 +277,6 @@ class PairedPoly:
 
     def __add__(self, other):
         return PairedPoly(self.f + other.f, self.f2 + other.f2)
-
-    def __eq__(self, other):
-        return isinstance(other, PairedPoly) and self.f == other.f and self.f2 == other.f2
-
-    def __hash__(self):
-        return hash((self.f, self.f2))
 
     def __repr__(self):
         return "(%s, %s)" % (format_poly(self.f), format_poly(self.f2))
@@ -339,10 +330,7 @@ def series_prefix(u2: Poly, u: Poly, m: int) -> SequenceView:
 
 def parse_poly(dom: Domain, text: str) -> Poly:
     """Comma-separated ascending coefficients, e.g. '1,0,0,1' = x^3+1."""
-    text = text.strip()
-    if not text:
-        return Poly.zero(dom)
-    return Poly(dom, [dom.parse(tok) for tok in _split_terms(text)])
+    return Poly(dom, parse_sequence(dom, text).terms)
 
 
 def coeff_texts(f: Poly, text=None) -> list:

@@ -54,9 +54,10 @@ def iy_classify(s: SequenceView, epsilon=None) -> IYResult:
         j = _longest_iy_prefix(st)
         hint = "no prefix has n = 2*LC" if j is None else "try a prefix of length %d" % j
         raise DomainError("need n = 2*LC exactly (n=%d, LC=%d); %s" % (len(s), lc, hint))
+    # at n = 2 * LC the exponent is 1, so LC-bullet is LC (mu_0 != 0) or
+    # n + 1 - LC = LC + 1 (mu_0 = 0): the lower-bound lemma gives the answer
     rev = reverse_lc(s, epsilon)
-    expected = lc if not s.dom.is_zero(st.mu_hat[0]) else lc + 1
-    return IYResult(lc=lc, rev_lc=rev, verdict=rev == expected)
+    return IYResult(lc=lc, rev_lc=rev, verdict=rev == st.lc_bullet)
 
 
 def max_iy_prefix(s: SequenceView, epsilon=None):

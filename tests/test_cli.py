@@ -13,7 +13,7 @@ from seqmin.lfsr import run, verify_identity
 from seqmin.poly import PairedPoly, Poly
 from seqmin.ring import (DECIMAL_BITS, GF2, MAX_CONTENT_BITS, DecimalText, GFp, IntegerRing,
                          formed)
-from seqmin.sequence import SequenceView
+from seqmin.sequence import SequenceView, sequence_from_bits
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +279,18 @@ def test_bench_small(capsys):
     assert isinstance(data["alpha"], float)
 
 
+def test_bench_count_mults_text(capsys):
+    """The text rows name each size's generic-engine multiplication count."""
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "16,32", "--seed", "3", "--count-mults")
+    assert code == 0
+    rng = random.Random(3)
+    lines = out.splitlines()
+    for line, n in zip(lines, (16, 32)):
+        mults = run(sequence_from_bits(GF2(), rng.getrandbits(n), n), count_mults=True).mults
+        assert line.endswith("s  (%d mults at n=%d)" % (mults, n))
+    assert lines[2].startswith("fitted exponent alpha = ")
+
+
 def test_exit_code_on_bad_input(capsys):
     code, _, err = run_cli(capsys, "minpoly", "--seq", "")
     assert code == 2
@@ -404,6 +416,22 @@ def test_mr_past_the_content_limit_exits_2(capsys):
     code, out, err = run_cli(capsys, "mr", "--ring", "int", "--seq=" + terms)
     assert code == 2 and out == ""
     assert err.startswith("error: an integer of up to ")
+    assert "past the limit of %d bits (ring.MAX_CONTENT_BITS)" % MAX_CONTENT_BITS in err
+
+
+def test_plcp_over_int_answers_at_200_terms(capsys):
+    """plcp over Z on the CI step's 200 terms: the verdict reads each odd
+    step's delta^, so the text answer forms no content and exits 0; the
+    JSON answer writes the odd discrepancies, and from 37 terms on one of
+    them is past ring.MAX_CONTENT_BITS, so it exits 2 naming the limit."""
+    rng = random.Random(1)
+    terms = [str(rng.choice((-5, -4, -3, 3, 4, 5))) for _ in range(200)]
+    code, out, _ = run_cli(capsys, "plcp", "--ring", "int", "--seq=" + ",".join(terms))
+    assert code == 0
+    assert out.splitlines()[0] == "PLCP: True"
+    code, out, err = run_cli(capsys, "plcp", "--ring", "int", "--json",
+                             "--seq=" + ",".join(terms[:37]))
+    assert code == 2 and out == ""
     assert "past the limit of %d bits (ring.MAX_CONTENT_BITS)" % MAX_CONTENT_BITS in err
 
 

@@ -90,6 +90,9 @@ def test_ext_euclid_conventions():
     assert mul(a, u) == g
     g, a, a2 = ext_euclid(u, u)
     assert g == u.monic() and a2.is_zero()
+    g, a, a2 = ext_euclid(Poly.zero(GFp(5)), u)
+    assert g == u.monic() and a.is_zero()
+    assert mul(a2, u) == g
     with pytest.raises(DomainError):
         ext_euclid(Poly.zero(F2), Poly.zero(F2))
 

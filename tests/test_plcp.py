@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from seqmin import plcp
@@ -13,9 +16,12 @@ from seqmin.plcp import (
     stable_bits,
 )
 from seqmin.poly import PairedPoly, Poly, mul, parse_poly
-from seqmin.ring import DomainError, GF2, GFp, IntegerRing
+from seqmin.ring import DomainError, GF2, GFp, IntegerRing, Product
 from seqmin.sequence import SequenceView, sequence_from_bits
 from util import seeded
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402  the benchmark's independent rational Berlekamp-Massey
 
 F2 = GF2()
 F3 = GFp(3)
@@ -47,6 +53,30 @@ def test_report_criteria_consistency():
     assert all(d == 1 for d in rep.odd_discrepancies)
     rep = is_plcp(B(0, 1, 1))
     assert not rep.is_plcp
+
+
+def test_is_plcp_over_int_at_200_terms_forms_no_content(monkeypatch):
+    """Over Z the verdict reads each odd step's delta^ (Delta = c * delta^
+    with c != 0), so is_plcp answers at n = 200 with no content formed,
+    agreeing with the rational Berlekamp-Massey of the benchmark's checks;
+    the odd discrepancies are formed only when read."""
+    def refuse(self):
+        raise AssertionError("a content was formed")
+
+    monkeypatch.setattr(Product, "value", refuse)
+    rng, n = seeded(29), 200
+    draws = [[rng.choice((-5, -4, -3, 3, 4, 5)) for _ in range(n)] for _ in range(3)]
+    draws[2][0] = 0  # Delta_1 = 0: not a perfect profile
+    verdicts = []
+    for terms in draws:
+        _, _, profile = checks.ZZ().bm(terms)
+        rep = is_plcp(SequenceView(IntegerRing(), terms))
+        assert rep.profile == tuple(profile)
+        assert rep.is_plcp == (profile == [(j + 1) // 2 for j in range(1, n + 1)])
+        with pytest.raises(AssertionError, match="a content was formed"):
+            rep.odd_discrepancies
+        verdicts.append(rep.is_plcp)
+    assert verdicts == [True, True, False]
 
 
 def test_count_plcp_formula():

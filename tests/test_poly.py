@@ -232,6 +232,17 @@ def test_paired_poly_ops():
     assert add_scaled(1, 1, p.f2, 1, 0, p.f2) == P(GF2_, 0, 1, 1)
 
 
+def test_paired_poly_is_its_tuple():
+    f, f2 = P(GF2_, 1, 1), P(GF2_, 0, 1)
+    p = PairedPoly(f, f2)
+    a, b = p
+    assert (a, b) == (f, f2) and p == (f, f2) and hash(p) == hash((f, f2))
+    assert repr(p) == "(1,1, 0,1)"
+    assert p + p == PairedPoly(Poly.zero(GF2_), Poly.zero(GF2_))
+    with pytest.raises(DomainMismatchError):
+        PairedPoly(f, P(GFp(3), 0, 1))
+
+
 def test_poly_part_examples():
     # mu = x^4+x^2+x on the engine's worked sequence gives mu2 = x^2+x+1
     s = SequenceView(GF2_, [0, 1, 1, 0, 0, 1, 0, 1])
