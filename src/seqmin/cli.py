@@ -31,7 +31,7 @@ from .lfsr import (
 )
 from .oracle import brute_min_annihilator, ext_euclid
 from .poly import PairedPoly, Poly, coeff_texts, parse_poly, pretty_poly, pseudo_divide
-from .ring import GF2, DecimalText, DomainError, IntegerRing, domain_from_string, parse_int
+from .ring import GF2, DomainError, IntegerRing, domain_from_string, int_text, parse_int
 from .sequence import parse_sequence, sequence_from_bits
 
 
@@ -117,13 +117,12 @@ def _dumps(out, dom=None) -> str:
     Over the integers the text is put together here, with json.dumps's
     separators, because json.dumps writes an int by int.__repr__, quadratic
     in its length before CPython 3.12, and the answers' ints reach millions
-    of bits.  One ring.DecimalText writes every int, a Poly's through
-    `poly.coeff_texts`, so that each long content is converted once.  Every
-    other ring's answer is json.dumps's own, which writes short ints faster.
+    of bits.  ring.int_text writes every int and `poly.coeff_texts` every
+    Poly, which converts each long content once.  Every other ring's answer
+    is json.dumps's own, which writes short ints faster.
     """
     if not isinstance(dom, IntegerRing):
         return json.dumps(out, default=lambda v: v.coeffs)
-    text = DecimalText()
 
     def dump(v):
         if isinstance(v, dict):
@@ -131,25 +130,14 @@ def _dumps(out, dom=None) -> str:
         if isinstance(v, (list, tuple)):
             return "[%s]" % ", ".join(map(dump, v))
         if isinstance(v, Poly):
-            return "[%s]" % ", ".join(coeff_texts(v, text))
-        return text(v) if type(v) is int else json.dumps(v)
+            return "[%s]" % ", ".join(coeff_texts(v))
+        return int_text(v) if type(v) is int else json.dumps(v)
 
     return dump(out)
 
 
-def _text(dom):
-    """One answer's writer of ints as text: a ring.DecimalText over the
-    integers, so that each long content is converted once per answer, and
-    None (`dom.format` each value) over the other domains."""
-    return DecimalText() if isinstance(dom, IntegerRing) else None
-
-
-def _pretty_pair(p: PairedPoly, text=None) -> str:
-    return "(%s, %s)" % (pretty_poly(p.f, text), pretty_poly(p.f2, text))
-
-
-def _jval(v):
-    return list(v) if isinstance(v, tuple) else v
+def _pretty_pair(p: PairedPoly) -> str:
+    return "(%s, %s)" % (pretty_poly(p.f), pretty_poly(p.f2))
 
 
 def _realisation(args, trace=False):
@@ -186,7 +174,7 @@ def cmd_minpoly(args):
     if args.json:
         print(_dumps({"mu": res.mu.f, "verified": verified}, args.ring))
     else:
-        print("mu = %s" % pretty_poly(res.mu.f, _text(args.ring)))
+        print("mu = %s" % pretty_poly(res.mu.f))
         print("LC = %d" % res.state.lc)
     return 0 if verified else 1
 
@@ -213,17 +201,15 @@ def cmd_mr(args):
             out["trace"] = [dict(zip(_TRACE_KEYS, row)) for row in rows]
         print(_dumps(out, dom))
     else:
-        text = _text(dom)
-        fmt = text or dom.format
         if args.trace:
             print("  j | delta | e | mu ; mu2 | mu' ; mu2'")
             for j, delta, e, *polys in rows:
                 print(" %2d | %5s | %2d | %s ; %s | %s ; %s"
-                      % (j, fmt(delta), e, *(pretty_poly(f, text) for f in polys)))
+                      % (j, dom.format(delta), e, *map(pretty_poly, polys)))
         for name, pair in (("mu", res.mu), ("mu'", res.mu_prime),
                            ("bez_numu", res.bez_numu), ("bez_fg", res.bez_fg)):
-            print("%-8s= %s" % (name, _pretty_pair(pair, text)))
-        print("nabla   = %s" % fmt(res.nabla))
+            print("%-8s= %s" % (name, _pretty_pair(pair)))
+        print("nabla   = %s" % dom.format(res.nabla))
         print("profile = %s" % profile)
         print("verified: %s" % verified)
     return 0 if verified else 1
@@ -256,11 +242,9 @@ def cmd_bezout(args):
             out["mults"] = res.mults
         print(_dumps(out, dom))
     else:
-        text = _text(dom)
-        fmt = text or dom.format
-        print("f     = %s" % _pretty_pair(res.f, text))
-        print("nabla = %s" % fmt(res.nabla))
-        print("g     = %s" % pretty_poly(res.g, text))
+        print("f     = %s" % _pretty_pair(res.f))
+        print("nabla = %s" % dom.format(res.nabla))
+        print("g     = %s" % pretty_poly(res.g))
         if args.count_mults:
             print("mults = %d" % res.mults)
         print("verified: %s" % verified)
@@ -297,7 +281,7 @@ def cmd_plcp(args):
 def cmd_annihilator(args):
     if args.extend:
         res = ann.extend_by_jump(args.seq, args.epsilon)
-        pair, extra = res.mu_ext, {"s_next": _jval(res.s_next)}
+        pair, extra = res.mu_ext, {"s_next": res.s_next}
     else:
         pair, extra = ann.min_nonvanishing(args.seq, args.epsilon), {}
     # both constructions assert that this degree is LC-bullet
@@ -311,10 +295,10 @@ def cmd_annihilator(args):
         out.update(extra)
         print(_dumps(out, args.ring))
     else:
-        print("mu_bullet = %s" % _pretty_pair(pair, _text(args.ring)))
+        print("mu_bullet = %s" % _pretty_pair(pair))
         print("degree    = %d" % degree)
         for k, v in extra.items():
-            print("%s = %s" % (k, v))
+            print("%s = %s" % (k, args.ring.format(v)))
         if args.oracle:
             print("oracle agreement: %s" % oracle_ok)
     return 0 if oracle_ok else 1

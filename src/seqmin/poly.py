@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import zip_longest
 
-from .ring import DecimalText, Domain, DomainError, IntegerRing, check_same_domain, formed
+from .ring import Domain, DomainError, IntegerRing, check_same_domain, formed, scaled_texts
 from .sequence import SequenceView, parse_sequence
 
 
@@ -139,16 +139,16 @@ class Poly:
 
 
 class ScaledPoly(Poly):
-    """c * base for a canonical nonzero c, recording `content` = (c, base).
+    """c * base for a canonical nonzero c, recording c and base.
 
     The engine's views over the integers, mu = c * mu^ and mu' = c' * mu^',
     are built as these, with c an int or a `ring.Product` formed when first
     read, so an identity check can take the content from the record instead
     of re-deriving it by gcd (`lfsr.verify_identity`), and a writer can
-    convert c once for every coefficient (`coeff_texts`).  The coefficients
-    c * base are formed at their first read and kept; negation keeps the
-    record, -f = c * (-base), and forms nothing.  Equality and hashing read
-    the coefficients, as for any Poly.
+    write every coefficient from one conversion of c (`coeff_texts`).  The
+    coefficients c * base are formed at their first read and kept; negation
+    keeps the record, -f = c * (-base), and forms nothing.  Equality and
+    hashing read the coefficients, as for any Poly.
     """
 
     __slots__ = ("c", "base")
@@ -166,11 +166,6 @@ class ScaledPoly(Poly):
         coeffs = tuple(dom.mul(c, a) for a in self.base.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         return coeffs
-
-    @property
-    def content(self):
-        """(c, base), with c formed."""
-        return formed(self.c), self.base
 
     def __neg__(self):
         return ScaledPoly(self.c, -self.base)
@@ -333,19 +328,19 @@ def parse_poly(dom: Domain, text: str) -> Poly:
     return Poly(dom, parse_sequence(dom, text).terms)
 
 
-def coeff_texts(f: Poly, text=None) -> list:
+def coeff_texts(f: Poly) -> list:
     """The text of each coefficient of f, ascending: the one coefficient writer.
 
-    Over the integers one ring.DecimalText (text, or a fresh one) writes a
-    ScaledPoly's record (c, base) through `scaled`, so c is converted once
-    per writer and the coefficients c * base are not formed, and any other
-    Poly as content 1.  Other domains `format` each coefficient.
+    Over the integers a ScaledPoly is written from its record c * base as
+    it is held (`ring.scaled_texts`), so the coefficients are not formed and
+    a long content c converts once however many polynomials it scales, and
+    any other Poly as content 1.  Other domains `format` each coefficient.
     """
     dom = f.dom
     if not isinstance(dom, IntegerRing):
         return [dom.format(c) for c in f.coeffs]
-    c, base = f.content if isinstance(f, ScaledPoly) else (1, f)
-    return (DecimalText() if text is None else text).scaled(c, base.coeffs)
+    c, base = (f.c, f.base) if isinstance(f, ScaledPoly) else (1, f)
+    return scaled_texts(c, base.coeffs)
 
 
 def format_poly(f: Poly) -> str:
@@ -353,11 +348,10 @@ def format_poly(f: Poly) -> str:
     return ",".join(coeff_texts(f)) or "0"
 
 
-def pretty_poly(f: Poly, text=None) -> str:
-    """Human-readable form like x^4 + x^2 + x; over the integers `text` is
-    the answer's one DecimalText (`coeff_texts`)."""
+def pretty_poly(f: Poly) -> str:
+    """Human-readable form like x^4 + x^2 + x (`coeff_texts`)."""
     zero, out = f.dom.format(f.dom.zero), ""
-    for k, cs in reversed(list(enumerate(coeff_texts(f, text)))):
+    for k, cs in reversed(list(enumerate(coeff_texts(f)))):
         if cs == zero:
             continue
         sign, cs = (" - ", cs[1:]) if cs[0] == "-" else (" + ", cs)

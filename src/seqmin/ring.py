@@ -27,8 +27,9 @@ its base field and the update as one `inner` of its own.  So over the
 integers and GF(p)[y] a `count_mults` pass (`lfsr.run`) counts no product
 of a discrepancy or an update.
 
-`DecimalText` writes the integers' long answers in decimal in
-subquadratic time, for `IntegerRing.format` and `poly.coeff_texts`.
+`int_text` writes an int in decimal in subquadratic time, for
+`IntegerRing.format` and the integers' JSON answers, and `scaled_texts` the
+coefficients c * m of a content c over a list, for `poly.coeff_texts`.
 """
 
 from __future__ import annotations
@@ -146,92 +147,92 @@ def _pack_wide(cs, width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
 
 
-# DecimalText's crossover: an int of more than this many bits converts
-# faster through `decimal` than by str().  Measured on CPython 3.11 (best of
-# 5, a fresh DecimalText per int, str against decimal in ms): 16k bits
-# 0.42/0.46, 32k 1.7/1.8, 36k 2.1/2.1, 40k 2.7/2.3, 64k 6.9/4.2, 10^5
-# 16.8/8.1, 10^6 1640/145.  Leaves of at most _LEAF_BITS bits are converted
-# by Decimal(int) itself; leaves of 512 to 8192 bits ran within 10 % of
-# each other from 40k to 10^6 bits.
+# int_text's crossover: an int of more than this many bits converts faster
+# through `decimal` than by str().  Measured on CPython 3.11 (best of 5, str
+# against decimal in ms): 16k bits 0.42/0.46, 32k 1.7/1.8, 36k 2.1/2.1, 40k
+# 2.7/2.3, 64k 6.9/4.2, 10^5 16.8/8.1, 10^6 1640/145.  Leaves of at most
+# _LEAF_BITS bits are converted by Decimal(int) itself; leaves of 512 to
+# 8192 bits ran within 10 % of each other from 40k to 10^6 bits.
 DECIMAL_BITS = 36_000
 _LEAF_BITS = 2048
 
+# `decimal`'s exact context and the powers 2^(2^k) as Decimals, made at the
+# first long int and kept, so that no conversion squares its way up to
+# them again: constants, one per k, and k stays below 24 for any int that
+# MAX_CONTENT_BITS lets a content reach
+_ctx = None
+_powers = {}
 
-class DecimalText:
-    """Decimal text of ints, each equal to str(n), in subquadratic time.
+
+def int_text(n: int) -> str:
+    """str(n), in subquadratic time for a long n.
 
     CPython before 3.12 converts an int to text in time quadratic in its
     length, and the integers' answers reach millions of bits.  An int of
-    more than DECIMAL_BITS bits is converted into an exact Decimal by
-    divide and conquer (the scheme of CPython 3.12's _pylong): split at
-    2^h, with h the largest power of two below its bit length, convert
-    both halves, and join them with one product by 2^h as a Decimal, which
-    `decimal` multiplies in subquadratic time.  Its text is read off in
-    linear time.  `decimal` is imported at the first long int.  An int that
-    str() refuses, past sys.get_int_max_str_digits(), is converted so too.
-
-    A DecimalText keeps the Decimal of every long int it converted, and
-    the powers 2^(2^k), so the coefficients c * m of one long content c (a
-    `poly.ScaledPoly`) cost one conversion of c and one short product each
-    (`scaled`, read by `poly.coeff_texts`).  Use one for the ints of one answer.
+    more than DECIMAL_BITS bits is written from its exact Decimal
+    (`_to_decimal`), whose text is read off in linear time; so is one that
+    str() refuses, past sys.get_int_max_str_digits().
     """
+    if n.bit_length() <= DECIMAL_BITS:
+        try:
+            return str(n)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    return str(_to_decimal(n))
 
-    def __init__(self):
-        self._ctx = None
-        self._known = {}
-        self._powers = {}
 
-    def __call__(self, n: int) -> str:
-        if n.bit_length() <= DECIMAL_BITS:
-            try:
-                return str(n)
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                pass
-        return str(self._decimal(n))
+def scaled_texts(c, ms) -> list:
+    """[int_text(c * m) for m in ms], c an int or a `Product`, converted once if long.
 
-    def scaled(self, c: int, ms) -> list:
-        """[self(c * m) for m in ms], with c converted once."""
-        if c.bit_length() <= DECIMAL_BITS:
-            return [self(c * m) for m in ms]
-        d = self._decimal(c)
-        # a zero m is written apart: the product of a negative d and 0 reads -0
-        return [str(self._ctx.multiply(d, m)) if m else "0" for m in ms]
+    c is taken as it is held: a Product past DECIMAL_BITS converts through
+    its own `Product.decimal`, once however many lists it scales, and each
+    c * m is one short product of that Decimal by m.
+    """
+    v = formed(c)
+    if v.bit_length() <= DECIMAL_BITS:
+        return [int_text(v * m) for m in ms]
+    d = c.decimal() if type(c) is Product else _to_decimal(v)
+    # a zero m is written apart: the product of a negative d and 0 reads -0
+    return [str(_ctx.multiply(d, m)) if m else "0" for m in ms]
 
-    def _decimal(self, n: int):
-        """n as an exact Decimal."""
-        d = self._known.get(n)
-        if d is None:
-            if self._ctx is None:
-                import decimal
 
-                self._ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                                            traps=[decimal.Inexact])
-            d = self._split(abs(n))
-            if n < 0:
-                d = self._ctx.minus(d)
-            self._known[n] = d
-        return d
+def _to_decimal(n: int):
+    """n as an exact Decimal, by divide and conquer (the scheme of CPython 3.12's
+    _pylong): split at 2^h, with h the largest power of two below its bit
+    length, convert both halves, and join them with one product by 2^h as
+    a Decimal, which `decimal` multiplies in subquadratic time.  `decimal`
+    is imported here, at the first long int."""
+    global _ctx
+    if _ctx is None:
+        import decimal
 
-    def _split(self, n: int):
-        w = n.bit_length()
-        if w <= _LEAF_BITS:
-            return self._ctx.create_decimal(n)
-        k = (w - 1).bit_length() - 1
-        hi = n >> (1 << k)
-        lo = n - (hi << (1 << k))
-        return self._ctx.add(self._split(lo), self._ctx.multiply(self._split(hi), self._power(k)))
+        _ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                               traps=[decimal.Inexact])
+    d = _split(abs(n))
+    return _ctx.minus(d) if n < 0 else d
 
-    def _power(self, k: int):
-        """2^(2^k) as a Decimal."""
-        d = self._powers.get(k)
-        if d is None:
-            if 1 << k <= _LEAF_BITS:
-                d = self._ctx.create_decimal(1 << (1 << k))
-            else:
-                half = self._power(k - 1)
-                d = self._ctx.multiply(half, half)
-            self._powers[k] = d
-        return d
+
+def _split(n: int):
+    w = n.bit_length()
+    if w <= _LEAF_BITS:
+        return _ctx.create_decimal(n)
+    k = (w - 1).bit_length() - 1
+    hi = n >> (1 << k)
+    lo = n - (hi << (1 << k))
+    return _ctx.add(_split(lo), _ctx.multiply(_split(hi), _power(k)))
+
+
+def _power(k: int):
+    """2^(2^k) as a Decimal."""
+    d = _powers.get(k)
+    if d is None:
+        if 1 << k <= _LEAF_BITS:
+            d = _ctx.create_decimal(1 << (1 << k))
+        else:
+            half = _power(k - 1)
+            d = _ctx.multiply(half, half)
+        _powers[k] = d
+    return d
 
 
 # The largest bound, in bits, for which Product.value forms a product.  The
@@ -251,13 +252,15 @@ class Product:
     the integers, c <- c * c' * g, are these.  `bits` is an upper bound on
     the value's bit length, the sum of the factors' bounds.  `value()` forms
     every factor not yet formed, each once, and refuses a bound above
-    MAX_CONTENT_BITS with a DomainError that names both sizes.
+    MAX_CONTENT_BITS with a DomainError that names both sizes.  `decimal()`
+    is the value as an exact Decimal, converted when first read and at most
+    once, for the writers of a long content (`scaled_texts`).
     """
 
-    __slots__ = ("a", "b", "g", "bits", "_value")
+    __slots__ = ("a", "b", "g", "bits", "_value", "_decimal")
 
     def __init__(self, a, b, g):
-        self.a, self.b, self.g, self._value = a, b, g, None
+        self.a, self.b, self.g, self._value, self._decimal = a, b, g, None, None
         self.bits = ((a.bits if type(a) is Product else a.bit_length())
                      + (b.bits if type(b) is Product else b.bit_length()) + g.bit_length())
 
@@ -279,6 +282,11 @@ class Product:
                     b = b._value if b._value is not None else b.value()
                 node._value = (a._value if type(a) is Product else a) * b * node.g
         return self._value
+
+    def decimal(self):
+        if self._decimal is None:
+            self._decimal = _to_decimal(self.value())
+        return self._decimal
 
 
 def formed(x):
@@ -524,8 +532,8 @@ class IntegerRing(Domain):
         return x
 
     def format(self, a):
-        """str(a), in subquadratic time for a long a (`DecimalText`)."""
-        return DecimalText()(a)
+        """str(a), in subquadratic time for a long a (`int_text`)."""
+        return int_text(a)
 
     def descriptor(self):
         return "int"

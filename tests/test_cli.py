@@ -10,10 +10,10 @@ import seqmin.cli as cli
 import seqmin.plcp as plcp_mod
 from seqmin.cli import main
 from seqmin.lfsr import run, verify_identity
-from seqmin.poly import PairedPoly, Poly
-from seqmin.ring import (DECIMAL_BITS, GF2, MAX_CONTENT_BITS, DecimalText, GFp, IntegerRing,
-                         formed)
+from seqmin.poly import PairedPoly, Poly, format_poly, pretty_poly
+from seqmin.ring import DECIMAL_BITS, GF2, MAX_CONTENT_BITS, GFp, IntegerRing, formed
 from seqmin.sequence import SequenceView, sequence_from_bits
+from util import count_conversions
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +243,17 @@ def test_annihilator_extend_json(capsys):
     assert data["mu_bullet"][0] == [1, 1, 0, 0, 0, 1]
 
 
+def test_annihilator_extend_writes_s_next_in_its_ring(capsys):
+    """s_next is written as every value of its ring is: over GF(3)[y] as
+    (1), not as the Python list [1]; the JSON answer writes it as an array."""
+    argv = ["annihilator", "--ring", "gfp_poly:3", "--extend", "--seq", "(1,2,1),0,0,0"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "s_next = (1)"
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["s_next"] == [1]
+
+
 def test_reverse_lc(capsys):
     code, out, _ = run_cli(capsys, "reverse-lc", "--seq", "1,1,0,0")
     assert code == 0
@@ -351,18 +362,10 @@ CI_INT_TERMS = "-5,4,3,-3,5,4,-4,3,5,-5,3,4,-3,5,-4,4,3,-5,5,3,-4,4,-3,5,3,-5,4,
 
 @pytest.mark.parametrize("argv", [["mr"], ["mr", "--json"], ["mr", "--trace"]])
 def test_integer_answers_convert_each_long_int_once(capsys, monkeypatch, argv):
-    """One DecimalText writes a whole answer over the integers, as text and
-    as JSON: every distinct int past DECIMAL_BITS, the contents c and c'
-    among them, is converted once, however many polynomials it scales."""
-    converted = []
-    real = DecimalText._decimal
-
-    def counted(self, n):
-        if n not in self._known:
-            converted.append(n)
-        return real(self, n)
-
-    monkeypatch.setattr(DecimalText, "_decimal", counted)
+    """A whole answer over the integers, as text and as JSON, converts every
+    distinct int past DECIMAL_BITS once: the contents c and c' on their
+    `ring.Product` nodes, however many polynomials they scale."""
+    converted = count_conversions(monkeypatch)
     terms = CI_INT_TERMS.split(",")[:25]
     st = run(SequenceView(IntegerRing(), [int(t) for t in terms]))
     contents = [formed(st.c), formed(st.c_prime)]
@@ -373,20 +376,28 @@ def test_integer_answers_convert_each_long_int_once(capsys, monkeypatch, argv):
     assert all(converted.count(c) == 1 for c in contents)
 
 
+def test_a_content_converts_once_however_often_its_views_are_written(monkeypatch):
+    """On 25 integer terms c (113 k bits) and c' (80 k bits) are past
+    DECIMAL_BITS.  Writing mu, mu2 and mu' twice each, through format_poly
+    and pretty_poly, from views built afresh on each read of the state,
+    converts each content once, on its `ring.Product` node."""
+    terms = [int(t) for t in CI_INT_TERMS.split(",")[:25]]
+    st = run(SequenceView(IntegerRing(), terms))
+    c, c_prime = formed(st.c), formed(st.c_prime)
+    assert (c.bit_length(), c_prime.bit_length()) == (113_423, 80_215)
+    converted = count_conversions(monkeypatch)
+    for read in (lambda: st.mu.f, lambda: st.mu.f2, lambda: st.mu_prime.f):
+        for write in (format_poly, pretty_poly):
+            write(read())
+    assert converted == [c, c_prime]
+
+
 def test_plcp_json_over_int_writes_through_decimal_text(capsys, monkeypatch):
-    """plcp --json over the integers writes its odd discrepancies through the
-    answer's one DecimalText, as every --json answer is written: on the CI
-    step's 30 terms three of them are past DECIMAL_BITS (the longest 468 k
-    bits), and each is converted once; the report reads back unchanged."""
-    converted = []
-    real = DecimalText._decimal
-
-    def counted(self, n):
-        if n not in self._known:
-            converted.append(n)
-        return real(self, n)
-
-    monkeypatch.setattr(DecimalText, "_decimal", counted)
+    """plcp --json over the integers writes its odd discrepancies through
+    ring.int_text, as every --json answer over the integers is written: on
+    the CI step's 30 terms three of them are past DECIMAL_BITS (the longest
+    468 k bits), and each is converted once; the report reads back unchanged."""
+    converted = count_conversions(monkeypatch)
     terms = [int(t) for t in CI_INT_TERMS.split(",")]
     report = plcp_mod.is_plcp(SequenceView(IntegerRing(), terms))
     long = [d for d in report.odd_discrepancies if d.bit_length() > DECIMAL_BITS]

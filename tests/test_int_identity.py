@@ -30,7 +30,7 @@ import pytest
 from seqmin.annihilator import extend_by_jump, mr_bullet_family
 from seqmin.lfsr import _recorded_contents, minimal_realisation, run, verify_identity
 from seqmin.poly import PairedPoly, Poly, ScaledPoly, mul
-from seqmin.ring import DomainError, IntegerRing
+from seqmin.ring import DomainError, IntegerRing, formed
 from seqmin.sequence import SequenceView
 
 from util import schoolbook_is_constant, seeded, verify_pair_identity
@@ -421,12 +421,12 @@ def test_views_record_their_content_soundly():
                 if not isinstance(v, ScaledPoly):
                     continue
                 recorded += 1
-                c, base = v.content
+                c, base = formed(v.c), v.base
                 assert c > 1 and v.coeffs == tuple(c * b for b in base.coeffs)
                 neg = -v
-                assert isinstance(neg, ScaledPoly) and neg.content == (c, -base)
+                assert isinstance(neg, ScaledPoly) and (formed(neg.c), neg.base) == (c, -base)
                 assert neg.coeffs == tuple(-x for x in v.coeffs) == (-plain).coeffs
-                assert neg.coeffs == tuple(c * b for b in neg.content[1].coeffs)
+                assert neg.coeffs == tuple(c * b for b in neg.base.coeffs)
     assert recorded > 300
 
 

@@ -19,15 +19,15 @@ from seqmin.poly import (
 )
 from seqmin.ring import (
     GF2,
-    DecimalText,
     DomainError,
     DomainMismatchError,
     GFp,
     GFpPolyRing,
     IntegerRing,
+    Product,
 )
 from seqmin.sequence import SequenceView
-from util import seeded
+from util import count_conversions, seeded
 
 GF2_ = GF2()
 Z = IntegerRing()
@@ -299,16 +299,11 @@ def test_scaled_poly_text_converts_its_content_once(monkeypatch):
     """pretty_poly and format_poly of a ScaledPoly whose content c is longer than
     DECIMAL_BITS, with zero, negative and long m, print what they print for a
     plain Poly with the same coefficients, and convert c, and nothing else, to a
-    Decimal once per polynomial (`poly.coeff_texts` through `DecimalText.scaled`)."""
+    Decimal once per polynomial when c is an int (`poly.coeff_texts` through
+    `ring.scaled_texts`), and once for every polynomial it scales when c is
+    a `ring.Product`."""
     rng = seeded(2401)
-    converted = []
-    decimal = DecimalText._decimal
-
-    def counted(self, n):
-        converted.append(n)
-        return decimal(self, n)
-
-    monkeypatch.setattr(DecimalText, "_decimal", counted)
+    converted = count_conversions(monkeypatch)
     w = ring.DECIMAL_BITS + 1000
     ms = [0, 7, -1, 1, 0, -(2**200 + 7), rng.getrandbits(50000), 0, -12345, 1]
     for c in (rng.getrandbits(w) | 1 << (w - 1), -(rng.getrandbits(w) | 1 << (w - 1))):
@@ -328,3 +323,10 @@ def test_scaled_poly_text_converts_its_content_once(monkeypatch):
             finally:
                 if limit is not None:
                     sys.set_int_max_str_digits(limit)
+        node, texts = Product(c, 1, 1), []
+        converted.clear()
+        for f in (ScaledPoly(node, Poly(Z, ms)), -ScaledPoly(node, Poly(Z, ms))):
+            texts += [(write, f, write(f)) for write in (pretty_poly, format_poly)]
+        assert converted == [c]
+        for write, f, text in texts:
+            assert text == write(Poly(Z, f.coeffs)), write

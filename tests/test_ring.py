@@ -8,19 +8,21 @@ import pytest
 
 from seqmin import ring
 from seqmin.ring import (
-    DecimalText,
     DomainError,
     DomainMismatchError,
     GF2,
     GFp,
     GFpPolyRing,
     IntegerRing,
+    Product,
     check_same_domain,
     domain_from_string,
+    int_text,
     is_prime,
+    scaled_texts,
 )
 
-from util import seeded
+from util import count_conversions, seeded
 
 
 def test_is_prime_small():
@@ -118,7 +120,7 @@ def _signed(ns):
 
 
 def test_decimal_text_matches_str(no_digit_limit):
-    """`DecimalText` against str: 0, +-1, 10^k +- 1 and 2^k +- 1 on both sides of
+    """`int_text` against str: 0, +-1, 10^k +- 1 and 2^k +- 1 on both sides of
     DECIMAL_BITS, and seeded random ints of 10^3 to 10^6 bits."""
     rng = seeded(1901)
     k = int(ring.DECIMAL_BITS / math.log2(10))  # 10^k has about DECIMAL_BITS bits
@@ -129,9 +131,8 @@ def test_decimal_text_matches_str(no_digit_limit):
     assert {ring.DECIMAL_BITS, ring.DECIMAL_BITS + 1} <= bits
     ns = _signed(ns) + [rng.choice((-1, 1)) * (rng.getrandbits(w) | 1 << (w - 1))
                         for w in (1000, 30000, 40000, 10**5, 10**6)]
-    text = DecimalText()
     for n in ns:
-        assert text(n) == str(n) == DecimalText()(n) == IntegerRing().format(n), n.bit_length()
+        assert int_text(n) == str(n) == IntegerRing().format(n), n.bit_length()
 
 
 def test_decimal_text_long_path_below_the_crossover(no_digit_limit, monkeypatch):
@@ -142,27 +143,39 @@ def test_decimal_text_long_path_below_the_crossover(no_digit_limit, monkeypatch)
     ns += [2**j + d for j in (ring._LEAF_BITS - 1, ring._LEAF_BITS, 4096, 4097, 9000)
            for d in (-1, 0, 1)]
     ns += [rng.getrandbits(rng.randint(1, 20000)) for _ in range(40)]
-    text = DecimalText()
     for n in _signed(ns):
-        assert text(n) == str(n), n
+        assert int_text(n) == str(n), n
 
 
-def test_decimal_text_scaled(no_digit_limit):
-    """`scaled` writes c * m for each m, converting a long c once: zero, negative
-    and long m, a negative c, and a c below the crossover."""
+def test_decimal_text_scaled(no_digit_limit, monkeypatch):
+    """`scaled_texts` writes c * m for each m, converting a long c once: zero,
+    negative and long m, a negative c, and a c below the crossover, held as
+    an int (converted once per call) and as a `Product` (converted once for
+    both calls, on the node)."""
     rng = seeded(1903)
+    converted = count_conversions(monkeypatch)
     for w in (100, ring.DECIMAL_BITS + 1, 200000):
         c = rng.getrandbits(w) | 1 << (w - 1)
         ms = [0, 1, -1, 12345, -(2**200 + 7), rng.getrandbits(50000), 0]
         for c in (c, -c):
-            assert DecimalText().scaled(c, ms) == [str(c * m) for m in ms]
+            long = w > ring.DECIMAL_BITS
+            want = [str(c * m) for m in ms]
+            converted.clear()
+            assert scaled_texts(c, ms) == want
+            assert scaled_texts(c, ms) == want
+            assert [n for n in converted if n == c] == [c, c] * long
+            node = Product(c, 1, 1)
+            converted.clear()
+            assert scaled_texts(node, ms) == want
+            assert scaled_texts(node, ms) == want
+            assert [n for n in converted if n == c] == [c] * long
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this CPython has no int digit limit")
 def test_decimal_text_under_the_default_digit_limit():
     """With CPython's default limit of 4300 digits, past which str() of an int
-    raises ValueError, `DecimalText`, `IntegerRing.format` and `scaled` write
+    raises ValueError, `int_text`, `IntegerRing.format` and `scaled_texts` write
     +-10^5000 (below DECIMAL_BITS), 10^20000 and an int of DECIMAL_BITS bits,
     as str() writes them once the limit is lifted."""
     ns = [10**5000, -10**5000, 10**20000, (1 << ring.DECIMAL_BITS) - 1]
@@ -172,8 +185,8 @@ def test_decimal_text_under_the_default_digit_limit():
         sys.set_int_max_str_digits(4300)
         with pytest.raises(ValueError):
             str(ns[0])
-        got = [(DecimalText()(n), IntegerRing().format(n)) for n in ns]
-        got_scaled = DecimalText().scaled(10**3000, [0, -10**2000, 1])
+        got = [(int_text(n), IntegerRing().format(n)) for n in ns]
+        got_scaled = scaled_texts(10**3000, [0, -10**2000, 1])
         sys.set_int_max_str_digits(0)
         assert got == [(str(n), str(n)) for n in ns]
         assert got_scaled == ["0", str(-10**5000), str(10**3000)]
@@ -187,6 +200,6 @@ def test_decimal_is_imported_for_long_ints_only():
     code = ("import sys, seqmin.cli, seqmin.ring as r\n"
             "seqmin.cli.main(['mr', '--ring', 'int', '--seq=3,-5,4,4', '--json'])\n"
             "assert 'decimal' not in sys.modules\n"
-            "assert r.DecimalText()(7 ** 20000) and 'decimal' in sys.modules\n")
+            "assert r.int_text(7 ** 20000) and 'decimal' in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=str(Path(ring.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)

@@ -3,6 +3,7 @@
 import random
 from collections import namedtuple
 
+from seqmin import ring
 from seqmin.poly import PairedPoly, Poly, mul
 from seqmin.ring import Domain, GFp, IntegerRing
 from seqmin.sequence import SequenceView
@@ -37,6 +38,19 @@ def schoolbook_is_constant(dom, pairs, c) -> bool:
     while total and dom.is_zero(total[-1]):
         total.pop()
     return total == ([] if dom.is_zero(c) else [c])
+
+
+def count_conversions(monkeypatch) -> list:
+    """The ints converted to a Decimal from now on, in order: `ring._to_decimal`
+    patched, for the test, to record each argument."""
+    converted, real = [], ring._to_decimal
+
+    def counted(n):
+        converted.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ring, "_to_decimal", counted)
+    return converted
 
 
 def seeded(seed=20260825):
