@@ -187,8 +187,9 @@ def mul(f: Poly, g: Poly) -> Poly:
     """f * g through the domain's list kernel, `Domain.inner` of the one pair.
 
     GF(2), GF(p) and GF(p)[y] pack each factor into one Python int and
-    multiply once (`ring.inner_mod`, Kronecker substitution), so CPython's
-    big-integer multiply does the work; small products stay schoolbook.
+    multiply once (`ring.packed_sum`, Kronecker substitution), so CPython's
+    big-integer multiply does the work; for p < 256 the packing and the
+    reduction mod p run on bytes, in C.  Small products stay schoolbook.
     The integers keep the schoolbook loop: their coefficients are already
     big ints that CPython multiplies with Karatsuba, and packing them was
     measured slower.

@@ -14,8 +14,11 @@ is a whole product (`poly.mul`), two pairs expand an identity
 the sum with the constant).  Its generic schoolbook loop, one `mul` per
 pair of nonzero coefficients, is the reference the others are tested
 against: the integers run it on ints with no method call per product,
-GF(p) forms the sum as one packed sum of products, `inner_mod`, and
-GF(p)[y] flattens it with x = y^D into one `inner` of its base field GF(p).
+GF(p) forms the sum as one packed sum of products (`inner_mod`, which
+calls `packed_sum`), and GF(p)[y] flattens it with x = y^D into one
+`packed_sum` over GF(p).  For p < 256 a packed sum works on bytes from end
+to end: a factor packs from its bytes, and the sum is reduced mod p by
+byte planes through translate tables, all in C.
 
 The engine's two scalar kernels are `Domain.dot`, a sum of products such as
 a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update,
@@ -37,6 +40,7 @@ from __future__ import annotations
 import array
 import operator
 import sys
+from functools import cache
 from itertools import zip_longest
 from math import gcd
 
@@ -88,63 +92,127 @@ def is_prime(p: int) -> bool:
 # (20.7/19.2, 19.0/17.1, 25.0/20.5).
 PACK_CROSSOVER = 25
 
-# array typecode for each slot size in bytes that a C integer type has, in
-# ascending size.  Slots of these sizes pack and unpack as arrays in C; the
-# byte-by-byte loop that every wider slot needs is 3-4.5x slower on the same
-# products (CPython 3.11, best of 7): all of the packed products in one
-# round of the benchmark's gf2-mr take 3.0 ms as arrays and 13.7 ms byte by
-# byte, gfp-mr 1.9 and 7.5 ms, ring-growth (GF(3)[y]) 17.2 and 59.7 ms.
+# array typecode for each slot size in bytes that a C integer type has: 1,
+# 2, 4 and 8.  `packed_sum` rounds every slot up to one of these sizes while
+# one fits, so that a coefficient of p >= 256 packs and unpacks through an
+# array in C; the byte-by-byte loop that a wider slot needs was 3-4.5x
+# slower than arrays on the packed products of gf2-mr, gfp-mr and
+# ring-growth (CPython 3.11, best of 7).  A coefficient of p < 256 is one
+# byte of its slot and packs as bytes whatever the slot (`_pack`): the last
+# update of a 12-term GF(3)[y] input took 164-262 us so against 393-479 us
+# through arrays (two alternating runs a tree, shared 2-CPU VM).
 _SLOT_CODES = {array.array(c).itemsize: c for c in "BHILQ"}
-
-# i % p for each byte i (0, 1, ..., p-1 repeated), for every p whose slots
-# can be one byte wide: such a slot must hold (p-1)^2 <= 255, so p < 17.
-# One bytes.translate reduces a whole sum of byte slots in C, where a % p
-# per coefficient runs in the interpreter.
-_BYTE_MOD = {p: bytes(range(p)) * (256 // p) + bytes(range(256 % p)) for p in (2, 3, 5, 7, 11, 13)}
 
 
 def inner_mod(pairs, p: int) -> list:
-    """The sum of f * g over the (fs, gs) in pairs, reduced mod p.
+    """The sum of f * g over the (fs, gs) in pairs, reduced mod p, as a list.
 
     pairs is a nonempty list or tuple and every fs and gs a nonempty GF(p)
     coefficient list (ints in [0, p-1], ascending).  The result has the
     largest len(fs) + len(gs) - 1 coefficients and is not trimmed.  A single
     pair below PACK_CROSSOVER runs the integers' loop, `IntegerRing.inner`,
-    and one % p per output coefficient.  Otherwise Kronecker substitution
-    (Harvey, JSC 2009): each factor packs into one int, one slot per
-    coefficient, each slot wide enough for a coefficient of the unreduced
-    sum -- at most (p-1)^2 times the sum of min(len fs, len gs) over the
-    pairs -- rounded up to whole bytes.  One big-integer product per pair
-    forms every coefficient of that pair at once, the products are added
-    as ints, and the sum is unpacked and reduced once.
+    and one % p per output coefficient; every other sum is one `packed_sum`.
     """
     if len(pairs) == 1:
         fs, gs = pairs[0]
         if (len(fs) - 1) * (len(gs) - 1) < PACK_CROSSOVER:
             return [c % p for c in IntegerRing.inner(pairs)]
+    return list(packed_sum(pairs, p))
+
+
+def packed_sum(pairs, p: int):
+    """The sum of f * g over the (fs, gs) in pairs, reduced mod p, by Kronecker substitution.
+
+    After Harvey, JSC 2009.  Every fs and gs is a nonempty GF(p) coefficient
+    list, or for p < 256 its bytes.  Each factor packs into one int
+    (`_pack`), one slot per coefficient, each slot wide enough for a
+    coefficient of the unreduced sum -- at most (p-1)^2 times the sum of
+    min(len fs, len gs) over the pairs -- rounded up to whole bytes and then
+    to a C integer's size while one fits.  One big-integer product per pair
+    forms every coefficient of that pair at once, the products are added
+    as ints, and the sum is reduced once (`_reduce`).  The result has the
+    largest len(fs) + len(gs) - 1 coefficients, not trimmed: bytes for
+    p < 256, a list otherwise.
+    """
     n = max(len(fs) + len(gs) for fs, gs in pairs) - 1
     bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
-    width = (bound.bit_length() + 7) // 8
-    size = next((s for s in _SLOT_CODES if s >= width), None)
-    if size is None:
-        total = sum(_pack_wide(fs, width) * _pack_wide(gs, width) for fs, gs in pairs)
-        v = total.to_bytes(width * n, "little")
-        return [int.from_bytes(v[k:k + width], "little") % p for k in range(0, width * n, width)]
-    # slots that are C integers: pack and unpack them as arrays
-    code, order = _SLOT_CODES[size], sys.byteorder
+    w = (bound.bit_length() + 7) // 8
+    if w <= 8:
+        w = 1 << (w - 1).bit_length()
     total = 0
     for fs, gs in pairs:
-        total += (int.from_bytes(array.array(code, fs).tobytes(), order)
-                  * int.from_bytes(array.array(code, gs).tobytes(), order))
-    v = total.to_bytes(size * n, order)
-    if size == 1:
-        return list(v.translate(_BYTE_MOD[p]))
-    return [c % p for c in array.array(code, v)]
+        total += _pack(fs, w, p) * _pack(gs, w, p)
+    return _reduce(total.to_bytes(w * n, "little"), w, p)
 
 
-def _pack_wide(cs, width: int) -> int:
-    """cs packed into one int, width bytes per slot: the byte-by-byte path."""
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+def _pack(cs, w: int, p: int) -> int:
+    """cs as one int, w bytes a slot, little-endian.
+
+    For p < 256 each coefficient is one byte: cs goes to bytes whole and is
+    spread to every w-th byte by one slice assignment, all in C.  A wider
+    coefficient goes through an array of C integers, or, in a slot wider
+    than 8 bytes, byte by byte.
+    """
+    if p < 256:
+        b = bytes(cs)
+        if w > 1:
+            b, spread = bytearray(w * len(b)), b
+            b[::w] = spread
+        return int.from_bytes(b, "little")
+    if w in _SLOT_CODES:
+        return int.from_bytes(_array(_SLOT_CODES[w], cs), "little")
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
+
+
+def _reduce(v: bytes, w: int, p: int):
+    """Each w-byte slot of v, little-endian, mod p: bytes for p < 256, a list otherwise.
+
+    While w * (p - 1) <= 255 it runs in C on byte planes: plane i, the
+    bytes v[i::w], is translated through its table b -> b * 256^i mod p
+    (`_planes`), the planes are added as ints, where no byte carries since
+    each sums w values below p, and one more translate reduces the sum mod
+    p.  A one-byte slot is that last translate alone.  Wider slots take one
+    % p per coefficient, read as an array of C integers or byte by byte.
+    """
+    planes = _planes(p) if p < 256 else ()
+    if w == 1:
+        return v.translate(planes[0])
+    if w <= len(planes):
+        total = 0
+        for i in range(w):
+            total += int.from_bytes(v[i::w].translate(planes[i]), "little")
+        return total.to_bytes(len(v) // w, "little").translate(planes[0])
+    if w in _SLOT_CODES:
+        cs = [c % p for c in _array(_SLOT_CODES[w], v)]
+    else:
+        cs = [int.from_bytes(v[k:k + w], "little") % p for k in range(0, len(v), w)]
+    return bytes(cs) if p < 256 else cs
+
+
+@cache
+def _planes(p: int) -> tuple:
+    """The translate tables b -> b * 256^i mod p of `_reduce`'s byte planes, p < 256.
+
+    One per plane of the widest slot of 1, 2, 4 or 8 bytes whose planes add
+    without a carry, w * (p - 1) <= 255.  b * 256^i mod p repeats with
+    period p in b, so each table is one period of p values repeated.  They
+    are made on first use, so that no start pays for the primes it never
+    reduces by, and kept, at most one tuple per prime below 256: building
+    all 165 tables, those of every prime below 256, took 0.63 ms this way
+    and 4.7 ms value by value, and the eight of p = 3 took 0.05 ms (best of
+    20, CPython 3.11).
+    """
+    w = max(s for s in (1, 2, 4, 8) if s * (p - 1) <= 255)
+    return tuple((bytes([k * r % p for k in range(p)]) * (256 // p + 1))[:256]
+                 for r in (pow(256, i, p) for i in range(w)))
+
+
+def _array(code: str, xs) -> array.array:
+    """xs as an array of C integers whose bytes are little-endian."""
+    a = array.array(code, xs)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a
 
 
 # int_text's crossover: an int of more than this many bits converts faster
@@ -545,7 +613,8 @@ class GFpPolyRing(Domain):
     Values are tuples of ints in [0, p-1], ascending in y, with no trailing
     zeros; the zero polynomial is the empty tuple.  A principal ideal domain,
     so the Bezout machinery applies to (GF(p)[y])[x], i.e. bivariate inputs.
-    `base` is GF(p), whose list kernel runs every product of y-polynomials.
+    `base` is GF(p), whose list kernel runs the y-polynomial sums of `mul`
+    and `dot`; the x-level `inner` is one `packed_sum` over GF(p).
     """
 
     def __init__(self, p: int):
@@ -608,37 +677,30 @@ class GFpPolyRing(Domain):
         return out
 
     def inner(self, pairs):
-        """The sum of f * g over x-polynomials, as one `inner` of the base field.
+        """The sum of f * g over x-polynomials, as one `packed_sum` over GF(p).
 
         Substituting x = y^D, with D above every product's y-degree, turns
-        each factor into one GF(p) coefficient list, each x-coefficient but
+        each factor into one GF(p) row (`_flatten`), each x-coefficient but
         the last padded to D y-coefficients, so no two y-coefficients of the
         sum share a slot: x-coefficient k of the sum is the k-th D-slot
         chunk, trimmed; the top x-coefficient fills at least one slot of the
-        last chunk, so there are as many chunks as x-coefficients.  A chunk
-        whose top slot is nonzero needs no trim, and most chunks of a true
-        identity are zero, which `any` finds without a trim.
+        last chunk, so there are as many chunks as x-coefficients.  For
+        p < 256 the rows and the sum are bytes and a chunk trims by
+        `rstrip`, in C.
         """
         D = max(max(map(len, fs)) + max(map(len, gs)) for fs, gs in pairs) - 1
-        total = self.base.inner([(self._flatten(fs, D), self._flatten(gs, D)) for fs, gs in pairs])
-        out = []
-        for i in range(0, len(total), D):
-            c = total[i:i + D]
-            out.append(tuple(c) if c and c[-1] else self._trim(c) if any(c) else ())
-        return out
+        v = packed_sum([(self._flatten(fs, D), self._flatten(gs, D)) for fs, gs in pairs], self.p)
+        if self.p < 256:
+            return [tuple(v[k:k + D].rstrip(b"\0")) for k in range(0, len(v), D)]
+        return [self._trim(v[k:k + D]) for k in range(0, len(v), D)]
 
-    @staticmethod
-    def _flatten(cs, D):
-        """cs with x = y^D as one GF(p) list: each x-coefficient but the last
-        padded to D y-coefficients.  A lone x-coefficient comes back as it is."""
-        if len(cs) == 1:
-            return cs[0]
-        flat, pad = [], (0,) * D
-        for c in cs[:-1]:
-            flat += c
-            flat += pad[len(c):]
-        flat += cs[-1]
-        return flat
+    def _flatten(self, cs, D):
+        """cs with x = y^D as one GF(p) row, each x-coefficient but the last
+        padded to D y-coefficients: bytes, or for p >= 256, whose values do
+        not fit a byte, a list."""
+        if self.p < 256:
+            return b"".join([bytes(c).ljust(D, b"\0") for c in cs[:-1]]) + bytes(cs[-1])
+        return [y for c in cs[:-1] for y in (*c, *(0,) * (D - len(c)))] + list(cs[-1])
 
     def coerce(self, x):
         if isinstance(x, int):

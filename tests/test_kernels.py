@@ -1,7 +1,7 @@
 """The kernels of GF(p), GF(p)[y] and the integers against the generic loops.
 
 `GFpPolyRing.dot` and `GFpPolyRing.axpy` (the discrepancy and the update
-behind `lfsr.mr_step` and `poly.add_scaled`) are each one `inner_mod`.  Here
+behind `lfsr.mr_step` and `poly.add_scaled`) are each one `packed_sum`.  Here
 they are compared with the generic `Domain.dot` and `Domain.axpy`, called
 on the same ring as base-class functions, over p = 2, 3, 7 and 2^31 - 1,
 so that the packed sums run in slots of 1, 2 and 4 bytes and wider than 8;
@@ -46,13 +46,13 @@ def _xpoly(rng, p, xlen, ylen):
 
 @pytest.fixture
 def packed(monkeypatch):
-    """Calls a kernel, recording the slot size of each `inner_mod` it makes.
+    """Calls a kernel, recording the slot size of each `packed_sum` it makes.
 
-    The size follows `inner_mod`'s documented bound: whole bytes, rounded up
-    to 1, 2, 4 or 8 for C-integer slots.  Products inside the generic loops
-    run outside the recording.
+    The size follows `packed_sum`'s documented bound: whole bytes, rounded
+    up to 1, 2, 4 or 8 for C-integer slots.  Products inside the generic
+    loops run outside the recording.
     """
-    real, recording = ring.inner_mod, []
+    real, recording = ring.packed_sum, []
 
     def spy(pairs, p):
         if recording:
@@ -69,7 +69,7 @@ def packed(monkeypatch):
             recording.pop()
 
     call.slots = set()
-    monkeypatch.setattr(ring, "inner_mod", spy)
+    monkeypatch.setattr(ring, "packed_sum", spy)
     return call
 
 

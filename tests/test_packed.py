@@ -17,9 +17,10 @@ with the constant moved by one.
 import pytest
 import sympy
 
+from seqmin import ring
 from seqmin.lfsr import minimal_realisation, verify_identity
 from seqmin.poly import PairedPoly, Poly, mul
-from seqmin.ring import GF2, Domain, GFp, GFpPolyRing, inner_mod
+from seqmin.ring import GF2, Domain, GFp, GFpPolyRing, IntegerRing, inner_mod, is_prime
 from seqmin.sequence import SequenceView
 
 from util import schoolbook_is_constant, seeded, verify_pair_identity
@@ -194,6 +195,148 @@ def test_inner_mod_in_byte_slots_and_just_past_them(p):
             assert inner_mod(pairs, p) == want, (total, fill)
             for f, g in pairs:
                 assert inner_mod([(f, g)], p) == _sympy_mul(f, g, p)
+
+
+def _slot_width(pairs, p):
+    """`packed_sum`'s slot width: whole bytes of its bound, rounded up to 1, 2,
+    4 or 8 while one of them is wide enough."""
+    bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
+    w = (bound.bit_length() + 7) // 8
+    return next((s for s in (1, 2, 4, 8) if s >= w), w)
+
+
+def _pairs_of_min_sum(rng, p, total, fill):
+    """Pairs whose sum of min(len fs, len gs) is total: up to three pairs of
+    unequal lengths, either one the longer, then one-coefficient pairs.
+    fill "top" makes every coefficient p - 1, "random" draws them."""
+    def draw(n):
+        return [p - 1] * n if fill == "top" else _random_coeffs(rng, p, n, 0.2)
+
+    pairs, left = [], total
+    for _ in range(3):
+        if left < 2:
+            break
+        a = rng.randint(1, min(left - 1, 40))
+        f, g = draw(a), draw(a + rng.randint(1, 60))
+        pairs.append((f, g) if rng.random() < 0.5 else (g, f))
+        left -= a
+    return pairs + [(draw(1), draw(1)) for _ in range(left)]
+
+
+# p -> the slot widths its sums are made to reach.  p <= 13 has one-byte
+# slots; byte planes serve w * (p - 1) <= 255, for which no prime is
+# exactly at 255: 127 (252) and 61 (240) are the largest within it at w = 2
+# and w = 4, 131 (260) and 67 (264) the smallest past it, which take % p
+# as 17 does at neither; 251 is the largest prime of a byte, 257 the
+# smallest past it (arrays), and 2^31 - 1 reaches slots wider than 8 bytes.
+BRANCH_PRIMES = {
+    5: (1, 2, 4), 11: (1, 2, 4), 13: (1, 2, 4), 17: (2, 4), 61: (2, 4), 67: (2, 4),
+    127: (2, 4), 131: (2, 4), 251: (2, 4, 8), 257: (4, 8), 2**31 - 1: (8, 9)}
+
+
+@pytest.mark.parametrize("p", sorted(BRANCH_PRIMES))
+def test_packed_sums_equal_the_integer_sum_reduced(p):
+    """`packed_sum` and `inner_mod` against [c % p for c in IntegerRing.inner(pairs)].
+
+    For each slot width its sums reach, the smallest and the largest sum of
+    min(len fs, len gs) that packs at that width (the largest only while a
+    test can afford it), with the fullest slots and with random ones; then
+    one-coefficient factors below and above the crossover's 1 x 128 and
+    pairs of very unequal lengths.  packed_sum packs even one small pair,
+    which inner_mod multiplies by the schoolbook loop.
+    """
+    rng, unit = seeded(107), (p - 1) ** 2
+    cases = []
+    for w in BRANCH_PRIMES[p]:
+        smaller = max((s for s in (1, 2, 4, 8) if s < w), default=0)
+        lo, hi = 256 ** smaller // unit + 1, (256 ** w - 1) // unit
+        for total in (lo, hi) if hi < 70_000 else (lo,):
+            for fill in ("top", "random"):
+                pairs = _pairs_of_min_sum(rng, p, total, fill)
+                assert _slot_width(pairs, p) == w, (total, fill)
+                cases.append(pairs)
+    for n in (64, 256):
+        fs, gs = _random_coeffs(rng, p, 1, 0), _random_coeffs(rng, p, n, 0.2)
+        cases += [[(fs, gs)], [(gs, fs)], [(fs, gs), (gs[:n // 2], fs)]]
+    for a, b in [(1, 300), (2, 97), (150, 3), (40, 41)]:
+        fs, gs = _random_coeffs(rng, p, a, 0.2), _random_coeffs(rng, p, b, 0.2)
+        cases += [[(fs, gs)], [(fs, gs), (gs[:5], fs[:2] or fs)]]
+    for pairs in cases:
+        want = [c % p for c in IntegerRing.inner(pairs)]
+        got = ring.packed_sum(pairs, p)
+        assert type(got) is (bytes if p < 256 else list)
+        assert list(got) == inner_mod(pairs, p) == want, [(len(f), len(g)) for f, g in pairs]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 31, 37, 61, 67, 127, 131, 251, 257, 2**31 - 1])
+def test_reduce_on_every_slot_width(p):
+    """`ring._reduce` against one int per slot mod p, on random and all-0xff bytes.
+
+    Widths 1, 2, 4 and 8 -- byte planes where w * (p - 1) <= 255 (31 has
+    them at w = 8, 37 does not), % p otherwise -- and 9, byte by byte.  One
+    byte wide only where a byte is below p^2, as in every packed sum."""
+    rng = seeded(108)
+    for w in (1, 2, 4, 8, 9):
+        if w == 1 and p > 256:
+            continue
+        for v in (bytes(rng.randrange(256) for _ in range(w * 50)), b"\xff" * (w * 7)):
+            want = [int.from_bytes(v[k:k + w], "little") % p for k in range(0, len(v), w)]
+            got = ring._reduce(v, w, p)
+            assert type(got) is (bytes if p < 256 else list)
+            assert list(got) == want, w
+
+
+def test_plane_tables_are_the_naive_tables():
+    """Each table, built from one period of p, equals b -> b * 256^i mod p
+    written out for all 256 bytes; there is one per plane of the widest of
+    1, 2, 4 and 8 bytes whose planes add without a carry, for every prime
+    below 256."""
+    for p in filter(is_prime, range(256)):
+        tables = ring._planes(p)
+        w = len(tables)
+        assert w in (1, 2, 4, 8) and w * (p - 1) <= 255, p
+        assert w == 8 or 2 * w * (p - 1) > 255, p
+        for i, table in enumerate(tables):
+            assert table == bytes(b * 256**i % p for b in range(256)), (p, i)
+
+
+def _sympy_sum_xy(pairs, p, n):
+    """Sum of f * g over pairs of x-polynomials with y-coefficients, by sympy."""
+    total = sympy.Poly(0, X, Y, modulus=p)
+    for fs, gs in pairs:
+        total += _sympy_xypoly(fs, p) * _sympy_xypoly(gs, p)
+    return _from_sympy_xy(total, p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 131, 251, 257, 2**31 - 1])
+def test_gfp_poly_inner_chunks(p):
+    """`GFpPolyRing.inner` against sympy and the schoolbook loop, chunk by chunk.
+
+    x-coefficients of very unequal y-length with zero ones between them, so
+    the top chunk is shorter than D; sums that cancel to all-zero chunks;
+    and sums whose chunks cancel only in their top y-coefficients, so that
+    every chunk's trim runs.
+    """
+    R, rng = GFpPolyRing(p), seeded(109)
+
+    def neg(fs):
+        return [R.neg(c) for c in fs]
+
+    f = [_random_ypoly(rng, p, 9), (), _random_ypoly(rng, p, 6), (), _random_ypoly(rng, p, 1)]
+    g = [_random_ypoly(rng, p, 12), _random_ypoly(rng, p, 2)]
+    top, low = (1, 1, 1), (1, 0, p - 1)  # top + low: the y^2 terms cancel
+    cases = [[(f, g)], [(g, f)], [(f, g), (g[:1], f)], [(f, g), (f, neg(g))],
+             [(f, g), (neg(f), g), (g, g)], [([top], f), ([low], f)],
+             [([top], g), ([low], g), (g, [()] * 3 + g)]]
+    for pairs in cases:
+        n = max(len(fs) + len(gs) for fs, gs in pairs) - 1
+        got = R.inner(pairs)
+        assert got == Domain.inner(R, pairs) == list(_sympy_sum_xy(pairs, p, n)), pairs
+    D = max(max(map(len, fs)) + max(map(len, gs)) for fs, gs in cases[0]) - 1
+    assert len(f[-1]) + len(g[-1]) - 1 < D
+    assert R.inner(cases[3]) == [()] * 6
+    # (top + low) * f_k: one y-coefficient longer than f_k, not two
+    assert [len(c) for c in R.inner(cases[5])] == [len(c) + 1 if c else 0 for c in f]
 
 
 def _identity(dom, pairs, c):
