@@ -190,9 +190,9 @@ def mul(f: Poly, g: Poly) -> Poly:
     multiply once (`ring.packed_sum`, Kronecker substitution), so CPython's
     big-integer multiply does the work; for p < 256 the packing and the
     reduction mod p run on bytes, in C.  Small products stay schoolbook.
-    The integers keep the schoolbook loop: their coefficients are already
-    big ints that CPython multiplies with Karatsuba, and packing them was
-    measured slower.
+    The integers keep the schoolbook loop, which a signed Kronecker product
+    was measured to beat from about 16-32 coefficients a pair on, 2.8-11.6x
+    at 256 (two pairs of 8- to 4096-bit coefficients, best of 5).
     """
     check_same_domain(f.dom, g.dom)
     dom = f.dom

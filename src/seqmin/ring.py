@@ -18,7 +18,8 @@ GF(p) forms the sum as one packed sum of products (`inner_mod`, which
 calls `packed_sum`), and GF(p)[y] flattens it with x = y^D into one
 `packed_sum` over GF(p).  For p < 256 a packed sum works on bytes from end
 to end: a factor packs from its bytes, and the sum is reduced mod p by
-byte planes through translate tables, all in C.
+byte planes through translate tables, all in C.  Every other slot is read
+as one int mod p.
 
 The engine's two scalar kernels are `Domain.dot`, a sum of products such as
 a discrepancy, and `Domain.axpy`, a * x^e * f + b * x^e2 * g, the update,
@@ -37,9 +38,7 @@ coefficients c * m of a content c over a list, for `poly.coeff_texts`.
 
 from __future__ import annotations
 
-import array
 import operator
-import sys
 from functools import cache
 from itertools import zip_longest
 from math import gcd
@@ -92,18 +91,6 @@ def is_prime(p: int) -> bool:
 # (20.7/19.2, 19.0/17.1, 25.0/20.5).
 PACK_CROSSOVER = 25
 
-# array typecode for each slot size in bytes that a C integer type has: 1,
-# 2, 4 and 8.  `packed_sum` rounds every slot up to one of these sizes while
-# one fits, so that a coefficient of p >= 256 packs and unpacks through an
-# array in C; the byte-by-byte loop that a wider slot needs was 3-4.5x
-# slower than arrays on the packed products of gf2-mr, gfp-mr and
-# ring-growth (CPython 3.11, best of 7).  A coefficient of p < 256 is one
-# byte of its slot and packs as bytes whatever the slot (`_pack`): the last
-# update of a 12-term GF(3)[y] input took 164-262 us so against 393-479 us
-# through arrays (two alternating runs a tree, shared 2-CPU VM).
-_SLOT_CODES = {array.array(c).itemsize: c for c in "BHILQ"}
-
-
 def inner_mod(pairs, p: int) -> list:
     """The sum of f * g over the (fs, gs) in pairs, reduced mod p, as a list.
 
@@ -125,10 +112,9 @@ def packed_sum(pairs, p: int):
 
     After Harvey, JSC 2009.  Every fs and gs is a nonempty GF(p) coefficient
     list, or for p < 256 its bytes.  Each factor packs into one int
-    (`_pack`), one slot per coefficient, each slot wide enough for a
+    (`_pack`), one slot per coefficient, each slot the whole bytes of a
     coefficient of the unreduced sum -- at most (p-1)^2 times the sum of
-    min(len fs, len gs) over the pairs -- rounded up to whole bytes and then
-    to a C integer's size while one fits.  One big-integer product per pair
+    min(len fs, len gs) over the pairs.  One big-integer product per pair
     forms every coefficient of that pair at once, the products are added
     as ints, and the sum is reduced once (`_reduce`).  The result has the
     largest len(fs) + len(gs) - 1 coefficients, not trimmed: bytes for
@@ -137,8 +123,6 @@ def packed_sum(pairs, p: int):
     n = max(len(fs) + len(gs) for fs, gs in pairs) - 1
     bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
     w = (bound.bit_length() + 7) // 8
-    if w <= 8:
-        w = 1 << (w - 1).bit_length()
     total = 0
     for fs, gs in pairs:
         total += _pack(fs, w, p) * _pack(gs, w, p)
@@ -149,9 +133,8 @@ def _pack(cs, w: int, p: int) -> int:
     """cs as one int, w bytes a slot, little-endian.
 
     For p < 256 each coefficient is one byte: cs goes to bytes whole and is
-    spread to every w-th byte by one slice assignment, all in C.  A wider
-    coefficient goes through an array of C integers, or, in a slot wider
-    than 8 bytes, byte by byte.
+    spread to every w-th byte by one slice assignment, all in C.  Any other
+    coefficient is its own w bytes, c.to_bytes(w, "little").
     """
     if p < 256:
         b = bytes(cs)
@@ -159,20 +142,18 @@ def _pack(cs, w: int, p: int) -> int:
             b, spread = bytearray(w * len(b)), b
             b[::w] = spread
         return int.from_bytes(b, "little")
-    if w in _SLOT_CODES:
-        return int.from_bytes(_array(_SLOT_CODES[w], cs), "little")
     return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
 
 
 def _reduce(v: bytes, w: int, p: int):
     """Each w-byte slot of v, little-endian, mod p: bytes for p < 256, a list otherwise.
 
-    While w * (p - 1) <= 255 it runs in C on byte planes: plane i, the
-    bytes v[i::w], is translated through its table b -> b * 256^i mod p
-    (`_planes`), the planes are added as ints, where no byte carries since
-    each sums w values below p, and one more translate reduces the sum mod
-    p.  A one-byte slot is that last translate alone.  Wider slots take one
-    % p per coefficient, read as an array of C integers or byte by byte.
+    While w is at most the count of `_planes`' tables, so w * (p - 1) <=
+    255, it runs in C on byte planes: plane i, the bytes v[i::w], is
+    translated through its table b -> b * 256^i mod p, the planes are added
+    as ints, where no byte carries since each sums w values below p, and
+    one more translate reduces the sum mod p.  A one-byte slot is that last
+    translate alone.  Every other slot is read as one int and takes one % p.
     """
     planes = _planes(p) if p < 256 else ()
     if w == 1:
@@ -182,10 +163,7 @@ def _reduce(v: bytes, w: int, p: int):
         for i in range(w):
             total += int.from_bytes(v[i::w].translate(planes[i]), "little")
         return total.to_bytes(len(v) // w, "little").translate(planes[0])
-    if w in _SLOT_CODES:
-        cs = [c % p for c in _array(_SLOT_CODES[w], v)]
-    else:
-        cs = [int.from_bytes(v[k:k + w], "little") % p for k in range(0, len(v), w)]
+    cs = [int.from_bytes(v[k:k + w], "little") % p for k in range(0, len(v), w)]
     return bytes(cs) if p < 256 else cs
 
 
@@ -205,14 +183,6 @@ def _planes(p: int) -> tuple:
     w = max(s for s in (1, 2, 4, 8) if s * (p - 1) <= 255)
     return tuple((bytes([k * r % p for k in range(p)]) * (256 // p + 1))[:256]
                  for r in (pow(256, i, p) for i in range(w)))
-
-
-def _array(code: str, xs) -> array.array:
-    """xs as an array of C integers whose bytes are little-endian."""
-    a = array.array(code, xs)
-    if sys.byteorder == "big":
-        a.byteswap()
-    return a
 
 
 # int_text's crossover: an int of more than this many bits converts faster
@@ -252,12 +222,13 @@ def int_text(n: int) -> str:
 def scaled_texts(c, ms) -> list:
     """[int_text(c * m) for m in ms], c an int or a `Product`, converted once if long.
 
-    c is taken as it is held: a Product past DECIMAL_BITS converts through
-    its own `Product.decimal`, once however many lists it scales, and each
-    c * m is one short product of that Decimal by m.
+    str() is quadratic in each c * m, so it writes them only while the bits
+    of c times len(ms) are at most DECIMAL_BITS.  Past that a Product
+    converts through its own `Product.decimal`, once however many lists it
+    scales, and each c * m is one short product of that Decimal by m.
     """
     v = formed(c)
-    if v.bit_length() <= DECIMAL_BITS:
+    if v.bit_length() * len(ms) <= DECIMAL_BITS:
         return [int_text(v * m) for m in ms]
     d = c.decimal() if type(c) is Product else _to_decimal(v)
     # a zero m is written apart: the product of a negative d and 0 reads -0

@@ -4,7 +4,7 @@
 behind `lfsr.mr_step` and `poly.add_scaled`) are each one `packed_sum`.  Here
 they are compared with the generic `Domain.dot` and `Domain.axpy`, called
 on the same ring as base-class functions, over p = 2, 3, 7 and 2^31 - 1,
-so that the packed sums run in slots of 1, 2 and 4 bytes and wider than 8;
+so that the packed sums run in slots of 1, 2 and 3 bytes and wider than 8;
 with zero scalars, empty lists, zero interior x-coefficients, shifts and
 sums that cancel to zero.  The list kernels `GFp.inner`,
 `GFpPolyRing.inner` and the integers' int loop `IntegerRing.inner` are
@@ -22,7 +22,7 @@ from seqmin import ring
 from seqmin.poly import Poly, add_scaled, mul
 from seqmin.ring import Domain, GFp, GFpPolyRing, IntegerRing
 
-from util import seeded
+from util import reduce_widths, seeded
 
 PRIMES = [2, 3, 7, 2**31 - 1]
 
@@ -46,30 +46,21 @@ def _xpoly(rng, p, xlen, ylen):
 
 @pytest.fixture
 def packed(monkeypatch):
-    """Calls a kernel, recording the slot size of each `packed_sum` it makes.
+    """Calls a kernel, recording the slot width of each packed sum it makes.
 
-    The size follows `packed_sum`'s documented bound: whole bytes, rounded
-    up to 1, 2, 4 or 8 for C-integer slots.  Products inside the generic
-    loops run outside the recording.
+    The width is the w that `ring._reduce` receives, the width the sum was
+    packed at (`util.reduce_widths`).  Products inside the generic loops run
+    between the calls and are not recorded.
     """
-    real, recording = ring.packed_sum, []
-
-    def spy(pairs, p):
-        if recording:
-            bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
-            width = (bound.bit_length() + 7) // 8
-            call.slots.add(next((s for s in (1, 2, 4, 8) if s >= width), width))
-        return real(pairs, p)
+    widths = reduce_widths(monkeypatch)
 
     def call(kernel, *args):
-        recording.append(True)
-        try:
-            return kernel(*args)
-        finally:
-            recording.pop()
+        widths.clear()
+        out = kernel(*args)
+        call.slots.update(widths)
+        return out
 
     call.slots = set()
-    monkeypatch.setattr(ring, "packed_sum", spy)
     return call
 
 
@@ -107,7 +98,7 @@ def test_axpy_matches_the_generic_loop(p, packed):
     fs, gs = _xpoly(rng, p, 4, 30), _xpoly(rng, p, 3, 90)
     assert packed(R.axpy, a, 2, fs, b, 0, gs) == Domain.axpy(R, a, 2, fs, b, 0, gs)
     if p < 2**31 - 1:
-        assert packed.slots == {2: {1, 2}, 3: {1, 2}, 7: {1, 2, 4}}[p]
+        assert packed.slots == {2: {1, 2}, 3: {1, 2}, 7: {1, 2, 3}}[p]
     else:
         assert max(packed.slots) > 8
 

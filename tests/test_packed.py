@@ -23,7 +23,7 @@ from seqmin.poly import PairedPoly, Poly, mul
 from seqmin.ring import GF2, Domain, GFp, GFpPolyRing, IntegerRing, inner_mod, is_prime
 from seqmin.sequence import SequenceView
 
-from util import schoolbook_is_constant, seeded, verify_pair_identity
+from util import reduce_widths, schoolbook_is_constant, seeded, verify_pair_identity
 
 X, Y = sympy.symbols("x y")
 FIELDS = [GF2(), GFp(7), GFp(2**31 - 1)]
@@ -197,14 +197,6 @@ def test_inner_mod_in_byte_slots_and_just_past_them(p):
                 assert inner_mod([(f, g)], p) == _sympy_mul(f, g, p)
 
 
-def _slot_width(pairs, p):
-    """`packed_sum`'s slot width: whole bytes of its bound, rounded up to 1, 2,
-    4 or 8 while one of them is wide enough."""
-    bound = (p - 1) ** 2 * sum(min(len(fs), len(gs)) for fs, gs in pairs)
-    w = (bound.bit_length() + 7) // 8
-    return next((s for s in (1, 2, 4, 8) if s >= w), w)
-
-
 def _pairs_of_min_sum(rng, p, total, fill):
     """Pairs whose sum of min(len fs, len gs) is total: up to three pairs of
     unequal lengths, either one the longer, then one-coefficient pairs.
@@ -223,47 +215,50 @@ def _pairs_of_min_sum(rng, p, total, fill):
     return pairs + [(draw(1), draw(1)) for _ in range(left)]
 
 
-# p -> the slot widths its sums are made to reach.  p <= 13 has one-byte
-# slots; byte planes serve w * (p - 1) <= 255, for which no prime is
+# p -> the slot widths its sums are made to reach, a slot being the whole
+# bytes of the bound.  p <= 13 has one-byte slots; byte planes serve
+# w * (p - 1) <= 255 up to the planes' table count, for which no prime is
 # exactly at 255: 127 (252) and 61 (240) are the largest within it at w = 2
-# and w = 4, 131 (260) and 67 (264) the smallest past it, which take % p
-# as 17 does at neither; 251 is the largest prime of a byte, 257 the
-# smallest past it (arrays), and 2^31 - 1 reaches slots wider than 8 bytes.
+# and w = 4, 131 (260) and 67 (264) the smallest past it, which take % p,
+# and 17 has planes at all its widths; 251 is the largest prime of a byte,
+# 257 the smallest past it, and 2^31 - 1 reaches slots wider than 8 bytes.
+# Past the planes every slot is read as one int mod p, at any width.
 BRANCH_PRIMES = {
-    5: (1, 2, 4), 11: (1, 2, 4), 13: (1, 2, 4), 17: (2, 4), 61: (2, 4), 67: (2, 4),
-    127: (2, 4), 131: (2, 4), 251: (2, 4, 8), 257: (4, 8), 2**31 - 1: (8, 9)}
+    5: (1, 2, 3), 11: (1, 2, 3), 13: (1, 2, 3), 17: (2, 3), 61: (2, 3, 4), 67: (2, 3, 4),
+    127: (2, 3, 4), 131: (2, 3, 4), 251: (2, 3, 4, 5), 257: (3, 4, 5), 2**31 - 1: (8, 9)}
 
 
 @pytest.mark.parametrize("p", sorted(BRANCH_PRIMES))
-def test_packed_sums_equal_the_integer_sum_reduced(p):
+def test_packed_sums_equal_the_integer_sum_reduced(p, monkeypatch):
     """`packed_sum` and `inner_mod` against [c % p for c in IntegerRing.inner(pairs)].
 
     For each slot width its sums reach, the smallest and the largest sum of
     min(len fs, len gs) that packs at that width (the largest only while a
-    test can afford it), with the fullest slots and with random ones; then
-    one-coefficient factors below and above the crossover's 1 x 128 and
-    pairs of very unequal lengths.  packed_sum packs even one small pair,
-    which inner_mod multiplies by the schoolbook loop.
+    test can afford it), with the fullest slots and with random ones, each
+    sum reduced at that width (`util.reduce_widths`); then one-coefficient
+    factors below and above the crossover's 1 x 128 and pairs of very
+    unequal lengths.  packed_sum packs even one small pair, which inner_mod
+    multiplies by the schoolbook loop.
     """
     rng, unit = seeded(107), (p - 1) ** 2
+    widths = reduce_widths(monkeypatch)
     cases = []
     for w in BRANCH_PRIMES[p]:
-        smaller = max((s for s in (1, 2, 4, 8) if s < w), default=0)
-        lo, hi = 256 ** smaller // unit + 1, (256 ** w - 1) // unit
+        lo, hi = -(-256 ** (w - 1) // unit), (256 ** w - 1) // unit
         for total in (lo, hi) if hi < 70_000 else (lo,):
             for fill in ("top", "random"):
-                pairs = _pairs_of_min_sum(rng, p, total, fill)
-                assert _slot_width(pairs, p) == w, (total, fill)
-                cases.append(pairs)
+                cases.append((_pairs_of_min_sum(rng, p, total, fill), w))
     for n in (64, 256):
         fs, gs = _random_coeffs(rng, p, 1, 0), _random_coeffs(rng, p, n, 0.2)
-        cases += [[(fs, gs)], [(gs, fs)], [(fs, gs), (gs[:n // 2], fs)]]
+        cases += [([(fs, gs)], None), ([(gs, fs)], None), ([(fs, gs), (gs[:n // 2], fs)], None)]
     for a, b in [(1, 300), (2, 97), (150, 3), (40, 41)]:
         fs, gs = _random_coeffs(rng, p, a, 0.2), _random_coeffs(rng, p, b, 0.2)
-        cases += [[(fs, gs)], [(fs, gs), (gs[:5], fs[:2] or fs)]]
-    for pairs in cases:
+        cases += [([(fs, gs)], None), ([(fs, gs), (gs[:5], fs[:2] or fs)], None)]
+    for pairs, w in cases:
         want = [c % p for c in IntegerRing.inner(pairs)]
+        widths.clear()
         got = ring.packed_sum(pairs, p)
+        assert w is None or widths == [w], [(len(f), len(g)) for f, g in pairs]
         assert type(got) is (bytes if p < 256 else list)
         assert list(got) == inner_mod(pairs, p) == want, [(len(f), len(g)) for f, g in pairs]
 
@@ -272,11 +267,12 @@ def test_packed_sums_equal_the_integer_sum_reduced(p):
 def test_reduce_on_every_slot_width(p):
     """`ring._reduce` against one int per slot mod p, on random and all-0xff bytes.
 
-    Widths 1, 2, 4 and 8 -- byte planes where w * (p - 1) <= 255 (31 has
-    them at w = 8, 37 does not), % p otherwise -- and 9, byte by byte.  One
-    byte wide only where a byte is below p^2, as in every packed sum."""
+    Widths 1 to 5, 8 and 9 -- byte planes where w * (p - 1) <= 255 and the
+    planes' tables reach w (31 has them at w = 8, 37 does not), one int
+    mod p a slot otherwise.  One byte wide only where a byte is below p^2,
+    as in every packed sum."""
     rng = seeded(108)
-    for w in (1, 2, 4, 8, 9):
+    for w in (1, 2, 3, 4, 5, 8, 9):
         if w == 1 and p > 256:
             continue
         for v in (bytes(rng.randrange(256) for _ in range(w * 50)), b"\xff" * (w * 7)):
@@ -413,7 +409,7 @@ def test_packed_checks_agree_with_the_generic_route_and_the_reference(ring):
     factor's partner, so the moved identity is false unless the partner is
     zero; moving the constant by one makes it false.  The synthetic
     identities reach slots of two bytes over GF(2) and GF(7); GF(2^31 - 1)
-    always needs more than eight, the byte-by-byte path.
+    needs eight bytes or more, each slot read as one int mod p.
     """
     dom, nmax, draw = PACKED_CHECK_DOMAINS[ring]
     rng = seeded(106)

@@ -148,17 +148,20 @@ def test_decimal_text_long_path_below_the_crossover(no_digit_limit, monkeypatch)
 
 
 def test_decimal_text_scaled(no_digit_limit, monkeypatch):
-    """`scaled_texts` writes c * m for each m, converting a long c once: zero,
-    negative and long m, a negative c, and a c below the crossover, held as
-    an int (converted once per call) and as a `Product` (converted once for
-    both calls, on the node)."""
+    """`scaled_texts` writes c * m for each m, converting c once when its bits
+    times the count of ms pass the crossover: zero, negative and long m, a
+    negative c, a c below the crossover, and a short c over so many m that
+    writing each c * m by str() would cost more, held as an int (converted
+    once per call) and as a `Product` (converted once for both calls, on the
+    node)."""
     rng = seeded(1903)
     converted = count_conversions(monkeypatch)
-    for w in (100, ring.DECIMAL_BITS + 1, 200000):
+    ms7 = [0, 1, -1, 12345, -(2**200 + 7), rng.getrandbits(50000), 0]
+    ms40 = [0, -1] + [rng.getrandbits(60) * rng.choice((-1, 1)) for _ in range(38)]
+    for w, ms in ((100, ms7), (ring.DECIMAL_BITS + 1, ms7), (200000, ms7), (2000, ms40)):
         c = rng.getrandbits(w) | 1 << (w - 1)
-        ms = [0, 1, -1, 12345, -(2**200 + 7), rng.getrandbits(50000), 0]
         for c in (c, -c):
-            long = w > ring.DECIMAL_BITS
+            long = w * len(ms) > ring.DECIMAL_BITS
             want = [str(c * m) for m in ms]
             converted.clear()
             assert scaled_texts(c, ms) == want

@@ -53,6 +53,19 @@ def count_conversions(monkeypatch) -> list:
     return converted
 
 
+def reduce_widths(monkeypatch) -> list:
+    """The slot widths of the packed sums reduced from now on, in order:
+    `ring._reduce` patched, for the test, to record the w it receives."""
+    widths, real = [], ring._reduce
+
+    def recorded(v, w, p):
+        widths.append(w)
+        return real(v, w, p)
+
+    monkeypatch.setattr(ring, "_reduce", recorded)
+    return widths
+
+
 def seeded(seed=20260825):
     return random.Random(seed)
 
